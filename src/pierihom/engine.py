@@ -33,8 +33,9 @@ from .tracker import GammaArc, TrackerOptions, track_path
 
 RANK_TOL = 1e-8
 MIN_SEPARATION = 1e-3
-DUPLICATE_TOL = 1e-8
-COLLISION_TOL = 1e-4
+# two coefficient vectors closer than this (normalized distance) are one
+# root: endpoints of one pattern, final laws and verify() duplicates alike
+SAME_ROOT_TOL = 1e-4
 # condition orderings tried per solve: the original, then rotations; the
 # target system never changes, but a rotation replaces every intermediate
 # system, stepping around data that is degenerate for one ordering
@@ -77,11 +78,7 @@ def full_coefficients(pattern: LocalizationPattern, free) -> np.ndarray:
             f"expected {degrees_of_freedom(pattern)} free coefficients, "
             f"got shape {free.shape}"
         )
-    lay = _layout(pattern)
-    full = np.empty(lay.nstars, dtype=np.complex128)
-    full[lay.top_idx] = 1.0
-    full[lay.free_idx] = free
-    return full
+    return _layout(pattern).full(free)
 
 
 def free_coefficients(pattern: LocalizationPattern, full) -> np.ndarray:
@@ -94,38 +91,74 @@ def free_coefficients(pattern: LocalizationPattern, full) -> np.ndarray:
 
 
 class _Layout:
-    """Precomputed index arrays for one pattern's star template.
+    """Precomputed arrays for one pattern's star template.
 
     Tall row r of column j contributes coeff * s^k * t^(K_j - k) to the
     physical entry (r-1 mod m+p, j), where k is r's degree block and K_j
-    is the block of the column's bottom pivot.
+    is the block of the column's bottom pivot.  Every [X(s,t) | L] matrix
+    of the solver is built by ``assemble`` from ``monomials``.
     """
 
     def __init__(self, pattern: LocalizationPattern):
         mp = pattern.m + pattern.p
+        self.mp, self.p = mp, pattern.p
         slots = star_slots(pattern)
         self.nstars = len(slots)
         cols = np.array([j for j, _ in slots])
         rows = np.array([r for _, r in slots])
-        self.st_cols = cols
-        self.st_rows = (rows - 1) % mp
+        phys_rows = (rows - 1) % mp
         self.st_degs = (rows - 1) // mp
         kcol = (np.asarray(pattern.bottom) - 1) // mp
         self.st_tpow = kcol[cols] - self.st_degs
+        # 0/1 map from star weights to the row-major entries of X
+        self.place = np.zeros((self.nstars, mp * self.p), dtype=np.complex128)
+        self.place[np.arange(self.nstars), phys_rows * self.p + cols] = 1.0
         top = rows == cols + 1
         self.top_idx = np.nonzero(top)[0]
         self.free_idx = np.nonzero(~top)[0]
-        self.fr_rows = self.st_rows[self.free_idx]
-        self.fr_cols = cols[self.free_idx]
-        self.fr_degs = self.st_degs[self.free_idx]
-        self.fr_tpow = self.st_tpow[self.free_idx]
         # several free slots can share one matrix entry (folded blocks);
         # cofactors are computed once per distinct entry
-        key = self.fr_rows * pattern.p + self.fr_cols
+        key = phys_rows[self.free_idx] * self.p + cols[self.free_idx]
         uniq, inverse = np.unique(key, return_inverse=True)
-        self.uq_rows = uniq // pattern.p
-        self.uq_cols = uniq % pattern.p
+        self.uq_rows = uniq // self.p
+        self.uq_cols = uniq % self.p
         self.fr_uq = inverse
+
+    def full(self, free: np.ndarray) -> np.ndarray:
+        """Star vector with the top pivots at 1 and ``free`` elsewhere."""
+        full = np.empty(self.nstars, dtype=np.complex128)
+        full[self.top_idx] = 1.0
+        full[self.free_idx] = free
+        return full
+
+    def monomials(self, s, t) -> np.ndarray:
+        """(k, nstars) star weights s_i^deg * t_i^tpow for k points s."""
+        s = np.asarray(s, dtype=np.complex128).reshape(-1, 1)
+        return s**self.st_degs * np.asarray(t)[..., None] ** self.st_tpow
+
+    def assemble(self, coeffs: np.ndarray, mono: np.ndarray, planes) -> np.ndarray:
+        """(k, m+p, p+c) stack of [X | plane], X = (coeffs * mono) @ place.
+
+        ``planes`` broadcasts to (k, m+p, c): c = m gives the square
+        condition matrices, c = 0 the bare map values.
+        """
+        planes = np.asarray(planes)
+        k = len(mono)
+        a = np.empty((k, self.mp, self.p + planes.shape[-1]), dtype=np.complex128)
+        a[:, :, : self.p] = ((coeffs * mono) @ self.place).reshape(k, self.mp, self.p)
+        a[:, :, self.p :] = planes
+        return a
+
+    def gradient(self, a: np.ndarray, mono: np.ndarray) -> np.ndarray:
+        """Derivative of det(a) in each free coefficient.
+
+        Each free coefficient feeds exactly one matrix entry with its
+        monomial as prefactor, so the derivative is that prefactor times
+        the entry's cofactor; cofactors are used because the matrix is
+        singular exactly where the determinant vanishes.
+        """
+        cof = cofactors_at(a, self.uq_rows, self.uq_cols)
+        return mono[self.free_idx] * cof[self.fr_uq]
 
 
 @functools.lru_cache(maxsize=None)
@@ -146,11 +179,7 @@ class MapEvaluator:
 
     def matrix(self, s: complex, t: complex) -> np.ndarray:
         lay = self._lay
-        mp = self.pattern.m + self.pattern.p
-        x = np.zeros((mp, self.pattern.p), dtype=np.complex128)
-        contrib = self.coeffs * complex(s) ** lay.st_degs * t**lay.st_tpow
-        np.add.at(x, (lay.st_rows, lay.st_cols), contrib)
-        return x
+        return lay.assemble(self.coeffs, lay.monomials(s, t), np.empty((lay.mp, 0)))[0]
 
 
 def instantiate_map(pattern: LocalizationPattern, coeffs) -> MapEvaluator:
@@ -177,33 +206,23 @@ def special_plane(pattern: LocalizationPattern) -> np.ndarray:
     return np.eye(mp)[:, keep]
 
 
-def condition_residual(x: MapEvaluator, plane, s: complex, t: complex) -> complex:
-    """det of [X(s,t) | plane]: zero means the two planes meet."""
+def _condition_matrix(x: MapEvaluator, plane, s: complex, t: complex) -> np.ndarray:
     plane = np.asarray(plane)
     mp = x.pattern.m + x.pattern.p
     if plane.shape != (mp, x.pattern.m):
         raise ValueError(f"plane must be {mp}x{x.pattern.m}, got {plane.shape}")
-    a = np.concatenate([x.matrix(s, t), plane], axis=1)
-    return complex(np.linalg.det(a))
+    return x._lay.assemble(x.coeffs, x._lay.monomials(s, t), plane)[0]
+
+
+def condition_residual(x: MapEvaluator, plane, s: complex, t: complex) -> complex:
+    """det of [X(s,t) | plane]: zero means the two planes meet."""
+    return complex(np.linalg.det(_condition_matrix(x, plane, s, t)))
 
 
 def condition_gradient(x: MapEvaluator, plane, s: complex, t: complex) -> np.ndarray:
-    """Derivative of condition_residual in each free coefficient.
-
-    Each free coefficient feeds exactly one matrix entry with a known
-    monomial prefactor, so the derivative is that prefactor times the
-    entry's cofactor; cofactors are used because the matrix is singular
-    exactly where the residual vanishes.
-    """
-    plane = np.asarray(plane)
-    mp = x.pattern.m + x.pattern.p
-    if plane.shape != (mp, x.pattern.m):
-        raise ValueError(f"plane must be {mp}x{x.pattern.m}, got {plane.shape}")
-    lay = x._lay
-    a = np.concatenate([x.matrix(s, t), plane], axis=1)
-    cof = cofactors_at(a, lay.uq_rows, lay.uq_cols)
-    pref = complex(s) ** lay.fr_degs * t**lay.fr_tpow
-    return pref * cof[lay.fr_uq]
+    """Derivative of condition_residual in each free coefficient."""
+    a = _condition_matrix(x, plane, s, t)
+    return x._lay.gradient(a, x._lay.monomials(s, t)[0])
 
 
 # --------------------------------------------------------- problem input
@@ -340,8 +359,6 @@ class EdgeHomotopy:
         self.pattern = pattern
         self.nvars = degrees_of_freedom(pattern)
         mp = pattern.m + pattern.p
-        self._mp = mp
-        self._p = pattern.p
         self._s_pin = np.asarray(pinned_points, dtype=np.complex128)
         self._l_pin = np.asarray(pinned_planes, dtype=np.complex128).reshape(
             -1, mp, pattern.m
@@ -355,71 +372,45 @@ class EdgeHomotopy:
         self._special = np.asarray(special, dtype=np.complex128)
         self._plane_delta = np.asarray(moving_plane, dtype=np.complex128) - self._special
         self._lay = _layout(pattern)
+        # the pinned conditions sit at t = 1: their weights never change
+        self._mono_pin = self._lay.monomials(self._s_pin, 1.0)
         grid = np.arange(mp)
         self._grid_rows = np.repeat(grid, mp)
         self._grid_cols = np.tile(grid, mp)
 
-    def _full(self, x: np.ndarray) -> np.ndarray:
-        lay = self._lay
-        full = np.empty(lay.nstars, dtype=np.complex128)
-        full[lay.top_idx] = 1.0
-        full[lay.free_idx] = x
-        return full
-
-    def _moving_matrix(self, full: np.ndarray, t: complex) -> tuple[np.ndarray, complex]:
-        lay = self._lay
-        a = np.zeros((self._mp, self._mp), dtype=np.complex128)
-        a[:, self._p :] = self._special + t * self._plane_delta
+    def _moving(self, t: complex) -> tuple[complex, np.ndarray, np.ndarray]:
+        """Point s(t), (1, nstars) weights and (1, m+p, m) plane of equation 1."""
         s_mov = (1.0 - t) + self._s_new * t
-        np.add.at(
-            a,
-            (lay.st_rows, lay.st_cols),
-            full * s_mov**lay.st_degs * t**lay.st_tpow,
-        )
-        return a, s_mov
+        plane = self._special + t * self._plane_delta
+        return s_mov, self._lay.monomials(s_mov, t), plane[None]
 
-    def _matrices(self, x: np.ndarray, t: complex) -> tuple[np.ndarray, complex]:
-        lay = self._lay
-        k = self.nvars
-        full = self._full(x)
-        a = np.zeros((k, self._mp, self._mp), dtype=np.complex128)
-        a[0], s_mov = self._moving_matrix(full, t)
-        if k > 1:
-            a[1:, :, self._p :] = self._l_pin
-            ii = np.arange(1, k)[:, None]
-            contrib = full[None, :] * self._s_pin[:, None] ** lay.st_degs[None, :]
-            np.add.at(a, (ii, lay.st_rows[None, :], lay.st_cols[None, :]), contrib)
-        return a, s_mov
+    def _matrices(self, x: np.ndarray, t: complex) -> tuple[np.ndarray, np.ndarray]:
+        """All k condition matrices, moving first, and their star weights."""
+        _, mono, plane = self._moving(t)
+        mono = np.concatenate([mono, self._mono_pin])
+        planes = np.concatenate([plane, self._l_pin])
+        return self._lay.assemble(self._lay.full(x), mono, planes), mono
 
     def eval(self, x, t: complex) -> np.ndarray:
         a, _ = self._matrices(np.asarray(x, dtype=np.complex128), t)
         return np.linalg.det(a)
 
     def jacobian_x(self, x, t: complex) -> np.ndarray:
-        a, s_mov = self._matrices(np.asarray(x, dtype=np.complex128), t)
-        lay = self._lay
-        k = self.nvars
-        jac = np.empty((k, k), dtype=np.complex128)
-        cof = cofactors_at(a[0], lay.uq_rows, lay.uq_cols)
-        jac[0] = s_mov**lay.fr_degs * t**lay.fr_tpow * cof[lay.fr_uq]
-        for i in range(1, k):
-            cof = cofactors_at(a[i], lay.uq_rows, lay.uq_cols)
-            jac[i] = self._s_pin[i - 1] ** lay.fr_degs * cof[lay.fr_uq]
-        return jac
+        a, mono = self._matrices(np.asarray(x, dtype=np.complex128), t)
+        return np.array([self._lay.gradient(a[i], mono[i]) for i in range(self.nvars)])
 
     def dt(self, x, t: complex) -> np.ndarray:
         lay = self._lay
-        full = self._full(np.asarray(x, dtype=np.complex128))
-        a, s_mov = self._moving_matrix(full, t)
-        adot = np.zeros((self._mp, self._mp), dtype=np.complex128)
-        adot[:, self._p :] = self._plane_delta
+        full = lay.full(np.asarray(x, dtype=np.complex128))
+        s_mov, mono, plane = self._moving(t)
+        a = lay.assemble(full, mono, plane)[0]
         degs, tpow = lay.st_degs, lay.st_tpow
         sdot = self._s_new - 1.0
         # d/dt of s(t)^deg t^tpow, with 0 * base^(-1) branches masked off
         term_s = np.where(degs > 0, degs * s_mov ** np.maximum(degs - 1, 0), 0.0)
         term_t = np.where(tpow > 0, tpow * complex(t) ** np.maximum(tpow - 1, 0), 0.0)
         dmono = term_s * sdot * t**tpow + term_t * s_mov**degs
-        np.add.at(adot, (lay.st_rows, lay.st_cols), full * dmono)
+        adot = lay.assemble(full, dmono[None], self._plane_delta)[0]
         cof = cofactors_at(a, self._grid_rows, self._grid_cols)
         out = np.zeros(self.nvars, dtype=np.complex128)
         out[0] = cof @ adot.ravel()
@@ -485,9 +476,9 @@ class EdgeOutcome:
 class EdgeTask:
     """Self-contained worker payload: track one edge of the tree.
 
-    A failed or diverged straight track is retried along the detour arcs
-    starting at GAMMA_ARCS[arc_start]; the ladder is fixed, so outcomes
-    stay deterministic for every worker count.
+    A failed or diverged straight track is retried along the detour arcs;
+    the ladder is fixed, so outcomes stay deterministic for every worker
+    count.
     """
 
     problem: ProblemInput
@@ -496,7 +487,6 @@ class EdgeTask:
     cond_index: int
     source_free: np.ndarray
     options: TrackerOptions
-    arc_start: int = 0
 
     def run(self) -> EdgeOutcome:
         prob = self.problem
@@ -515,14 +505,10 @@ class EdgeTask:
                 start_residual, f.min_pivot, f.scale,
             )
         steps_total = 0
-        res = None
-        arc_used = min(self.arc_start, len(GAMMA_ARCS) - 1)
-        for ai in range(arc_used, len(GAMMA_ARCS)):
-            gamma = GAMMA_ARCS[ai]
+        for arc_used, gamma in enumerate(GAMMA_ARCS):
             arc = hom if gamma == 1.0 else GammaArc(hom, gamma)
             res = track_path(arc, x0, self.options)
             steps_total += res.steps_used
-            arc_used = ai
             if res.status == "converged":
                 break
         free = res.endpoint if res.status == "converged" else None
@@ -552,15 +538,9 @@ def solution_from_free(
     problem: ProblemInput, pattern: LocalizationPattern, free: np.ndarray
 ) -> SolutionMap:
     full = full_coefficients(pattern, free)
-    ev = instantiate_map(pattern, full)
-    mats = np.stack(
-        [
-            np.concatenate([ev.matrix(problem.points[i], 1.0), problem.planes[i]], axis=1)
-            for i in range(problem.n)
-        ]
-    )
-    residuals = np.abs(np.linalg.det(mats))
-    return SolutionMap(pattern, full, residuals)
+    lay = _layout(pattern)
+    mats = lay.assemble(full, lay.monomials(problem.points, 1.0), problem.planes)
+    return SolutionMap(pattern, full, np.abs(np.linalg.det(mats)))
 
 
 @dataclass
@@ -609,8 +589,9 @@ class PieriTreeSource:
     distinct roots of one condition system, so converged endpoints are
     deduplicated per pattern before their subtrees spawn; an endpoint that
     collides with an already accepted sibling is re-tracked along
-    alternative arcs.  Levels are processed in edge-id order, which keeps
-    everything deterministic for any worker count.
+    alternative arcs, and becomes a loss if that fails.  Levels are
+    processed in edge-id order, which keeps everything deterministic for
+    any worker count.
     """
 
     def __init__(self, problem: ProblemInput, options: TrackerOptions):
@@ -763,12 +744,12 @@ class PieriTreeSource:
         If the endpoint sits on an already claimed root, first re-track
         this edge along other arcs; if nothing vacant is found, the claim
         may be the jumped one, so re-track the colliding sibling instead
-        and let this endpoint keep the spot.  An unresolved collision is
-        kept and later reported by verify(), never silently dropped.
+        and let this endpoint keep the spot.  If neither moves, the earlier
+        claim stays and this edge's subtree becomes a "collision" loss.
         """
         free = outcome.free
         colliding = [
-            row for row in group if _coeff_distance(free, row[1]) <= COLLISION_TOL
+            row for row in group if _coeff_distance(free, row[1]) <= SAME_ROOT_TOL
         ]
         if colliding:
             retracked = self._retry_collision(
@@ -781,9 +762,16 @@ class PieriTreeSource:
                 sib = colliding[0]
                 others = [r[1] for r in group if r is not sib] + [free]
                 moved = self._retry_collision(tasks[sib[0]], dest, sib[2], others)
-                if moved is not None:
-                    sib[1] = moved
-                    self.retracked_edges.append(sib[0])
+                if moved is None:
+                    self.losses.append(
+                        LossRecord(
+                            edge_id, dest.bottom, "collision",
+                            count_paths(dest, self._target),
+                        )
+                    )
+                    return
+                sib[1] = moved
+                self.retracked_edges.append(sib[0])
         group.append([edge_id, free, outcome.arc_used])
 
     def _retry_collision(
@@ -813,7 +801,7 @@ class PieriTreeSource:
                 if res.status != "converged":
                     continue
                 if all(
-                    _coeff_distance(res.endpoint, g) > COLLISION_TOL for g in group
+                    _coeff_distance(res.endpoint, g) > SAME_ROOT_TOL for g in group
                 ):
                     return res.endpoint
         return None
@@ -864,19 +852,6 @@ def _run_tree(
     )
 
 
-def _result_defects(result: SolveResult) -> int:
-    dup_pairs = 0
-    sols = result.solutions
-    for i in range(len(sols)):
-        for j in range(i + 1, len(sols)):
-            if (
-                _coeff_distance(sols[i].coefficients, sols[j].coefficients)
-                <= COLLISION_TOL
-            ):
-                dup_pairs += 1
-    return dup_pairs + result.lost_paths
-
-
 def solve_pieri(
     problem: ProblemInput,
     schedule: str = "dynamic",
@@ -888,9 +863,9 @@ def solve_pieri(
     Solutions come back canonically sorted, so equal seeds give identical
     results for any worker count.  Edge jobs depend on their parent's
     coefficients, hence only dynamic dispatch is possible.  A walk that
-    ends with lost paths or colliding endpoints is retried under rotated
-    condition orderings; the target system is the same, so the first
-    defect-free result wins, else the one with the fewest defects.
+    loses paths (unresolved endpoint collisions included) is retried
+    under rotated condition orderings; the target system is the same, so
+    the first loss-free result wins, else the one that lost fewest.
     """
     if schedule != "dynamic":
         raise ValueError(
@@ -899,7 +874,6 @@ def solve_pieri(
         )
     options = options or TrackerOptions()
     best: SolveResult | None = None
-    best_defects = -1
     for roll in range(min(MAX_CONDITION_ORDERS, problem.n)):
         attempt = problem
         if roll:
@@ -909,11 +883,10 @@ def solve_pieri(
                 np.roll(problem.points, -roll),
             )
         result = _run_tree(attempt, problem, workers, options)
-        defects = _result_defects(result)
-        if defects == 0:
+        if result.lost_paths == 0:
             return result
-        if best is None or defects < best_defects:
-            best, best_defects = result, defects
+        if best is None or result.lost_paths < best.lost_paths:
+            best = result
     return best
 
 
@@ -935,32 +908,27 @@ def verify(solutions, problem: ProblemInput) -> VerifyReport:
 
     Residuals are |det| divided by the product of row norms (so a badly
     scaled matrix cannot hide a miss), and solutions are compared pairwise
-    by normalized coefficient distance to flag duplicates.
+    by normalized coefficient distance: pairs within SAME_ROOT_TOL are
+    duplicates.
     """
-    n = problem.n
     count = len(solutions)
-    residuals = np.zeros((count, n))
+    residuals = np.zeros((count, problem.n))
     for si, sol in enumerate(solutions):
         ev = instantiate_map(sol.pattern, sol.coefficients)
-        for i in range(n):
-            a = np.concatenate(
-                [ev.matrix(problem.points[i], 1.0), problem.planes[i]], axis=1
-            )
-            raw = abs(np.linalg.det(a))
-            scale = float(np.prod(np.linalg.norm(a, axis=1)))
-            residuals[si, i] = raw / scale if scale > 0 else np.inf
+        lay = ev._lay
+        a = lay.assemble(ev.coeffs, lay.monomials(problem.points, 1.0), problem.planes)
+        raw = np.abs(np.linalg.det(a))
+        scale = np.prod(np.linalg.norm(a, axis=2), axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            residuals[si] = np.where(scale > 0, raw / scale, np.inf)
     min_distance: float | None = None
     duplicates: list[tuple[int, int]] = []
     for i in range(count):
         for j in range(i + 1, count):
-            a, b = solutions[i].coefficients, solutions[j].coefficients
-            d = float(
-                np.linalg.norm(a - b)
-                / max(np.linalg.norm(a), np.linalg.norm(b), 1.0)
-            )
+            d = _coeff_distance(solutions[i].coefficients, solutions[j].coefficients)
             if min_distance is None or d < min_distance:
                 min_distance = d
-            if d <= DUPLICATE_TOL:
+            if d <= SAME_ROOT_TOL:
                 duplicates.append((i, j))
     max_residual = float(residuals.max()) if count else 0.0
     return VerifyReport(residuals, max_residual, min_distance, duplicates)

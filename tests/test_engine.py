@@ -15,6 +15,7 @@ import pytest
 
 from pierihom.engine import (
     EdgeHomotopy,
+    EdgeOutcome,
     EdgeTask,
     MapEvaluator,
     ProblemInput,
@@ -566,6 +567,60 @@ def test_node_store_is_released() -> None:
     run_dynamic(source, workers=2)
     assert source.store_size == 0
     assert len(source.solutions) == 2
+
+
+def test_unresolved_collision_becomes_loss(monkeypatch) -> None:
+    # force the second endpoint arriving at any pattern onto the first one's
+    # root and make every retrack fail: the later edge must become a
+    # "collision" loss while the earlier claim keeps its spot untouched
+    from pierihom.engine import LossRecord, PieriTreeSource
+    from pierihom.scheduler import run_dynamic
+
+    problem = ProblemInput.generate(2, 2, 0, 1)
+    source = PieriTreeSource(problem, TrackerOptions())
+    monkeypatch.setattr(source, "_retry_collision", lambda *args: None)
+    place = source._place_endpoint
+    seen = []
+
+    def colliding_place(group, tasks, edge_id, dest, outcome):
+        if not group or seen:
+            return place(group, tasks, edge_id, dest, outcome)
+        before = [(row[0], row[1].copy(), row[2]) for row in group]
+        dup = EdgeOutcome(
+            "converged", group[0][1].copy(), outcome.residual, outcome.steps_used,
+            outcome.start_residual, outcome.start_min_pivot, outcome.start_scale,
+        )
+        place(group, tasks, edge_id, dest, dup)
+        assert len(group) == len(before)
+        for row, (eid, free, arc) in zip(group, before):
+            assert row[0] == eid and row[2] == arc
+            assert np.array_equal(row[1], free)
+        paths = count_paths(dest, target_pattern(2, 2, 0))
+        seen.append(LossRecord(edge_id, dest.bottom, "collision", paths))
+
+    monkeypatch.setattr(source, "_place_endpoint", colliding_place)
+    run_dynamic(source, workers=1)
+    assert len(seen) == 1
+    assert source.losses == seen
+    lost = sum(loss.paths_lost for loss in source.losses)
+    assert len(source.solutions) + lost == pieri_root_count(2, 2, 0)
+
+
+def test_collision_retracks_recover_distinct_roots() -> None:
+    # (2,2,1) seed 12 lands endpoints on claimed roots; the master must
+    # re-track them onto vacant roots rather than lose or duplicate laws
+    from pierihom.engine import SAME_ROOT_TOL, PieriTreeSource, _coeff_distance
+    from pierihom.scheduler import run_dynamic
+
+    problem = ProblemInput.generate(2, 2, 1, 12)
+    source = PieriTreeSource(problem, TrackerOptions())
+    run_dynamic(source, workers=1)
+    assert source.retracked_edges
+    assert source.losses == []
+    sols = source.solutions
+    assert len(sols) == pieri_root_count(2, 2, 1) == 8
+    for a, b in itertools.combinations(sols, 2):
+        assert _coeff_distance(a.coefficients, b.coefficients) > SAME_ROOT_TOL
 
 
 # ---------------------------------------------------- verify and JSON
