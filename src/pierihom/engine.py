@@ -150,15 +150,17 @@ class _Layout:
         return a
 
     def gradient(self, a: np.ndarray, mono: np.ndarray) -> np.ndarray:
-        """Derivative of det(a) in each free coefficient.
+        """Derivative of det(a) in each free coefficient, for a stack of a.
 
-        Each free coefficient feeds exactly one matrix entry with its
-        monomial as prefactor, so the derivative is that prefactor times
-        the entry's cofactor; cofactors are used because the matrix is
+        ``a`` is (..., m+p, m+p) and ``mono`` its (..., nstars) weights;
+        the result is (..., nfree), one gradient row per matrix.  Each
+        free coefficient feeds exactly one matrix entry with its monomial
+        as prefactor, so the derivative is that prefactor times the
+        entry's cofactor; cofactors are used because the matrix is
         singular exactly where the determinant vanishes.
         """
         cof = cofactors_at(a, self.uq_rows, self.uq_cols)
-        return mono[self.free_idx] * cof[self.fr_uq]
+        return mono[..., self.free_idx] * cof[..., self.fr_uq]
 
 
 @functools.lru_cache(maxsize=None)
@@ -397,7 +399,7 @@ class EdgeHomotopy:
 
     def jacobian_x(self, x, t: complex) -> np.ndarray:
         a, mono = self._matrices(np.asarray(x, dtype=np.complex128), t)
-        return np.array([self._lay.gradient(a[i], mono[i]) for i in range(self.nvars)])
+        return self._lay.gradient(a, mono)
 
     def dt(self, x, t: complex) -> np.ndarray:
         lay = self._lay
@@ -686,31 +688,32 @@ class PieriTreeSource:
                 )
                 continue
             outcome: EdgeOutcome = result.payload
-            self.edge_records.append(
-                EdgeRecord(
-                    edge_id, depth, dest.bottom, outcome.status,
-                    outcome.steps_used, outcome.start_residual,
-                    outcome.start_min_pivot, outcome.start_scale,
+            status = outcome.status
+            if status == "converged" and not self._place_endpoint(
+                accepted.setdefault(dest.bottom, []),
+                tasks, edge_id, dest, outcome,
+            ):
+                status = "collision"
+            if status == "start_violation":
+                self.fatal.append(
+                    f"edge {edge_id}: start residual "
+                    f"{outcome.start_residual:.3e} exceeds "
+                    f"{self._options.residual_tol:.0e} "
+                    "(special plane or normalization contract broken)"
                 )
-            )
-            if outcome.status != "converged":
-                if outcome.status == "start_violation":
-                    self.fatal.append(
-                        f"edge {edge_id}: start residual "
-                        f"{outcome.start_residual:.3e} exceeds "
-                        f"{self._options.residual_tol:.0e} "
-                        "(special plane or normalization contract broken)"
-                    )
+            if status != "converged":
                 self.losses.append(
                     LossRecord(
-                        edge_id, dest.bottom, outcome.status,
+                        edge_id, dest.bottom, status,
                         count_paths(dest, self._target),
                     )
                 )
-                continue
-            self._place_endpoint(
-                accepted.setdefault(dest.bottom, []),
-                tasks, edge_id, dest, outcome,
+            self.edge_records.append(
+                EdgeRecord(
+                    edge_id, depth, dest.bottom, status,
+                    outcome.steps_used, outcome.start_residual,
+                    outcome.start_min_pivot, outcome.start_scale,
+                )
             )
         survivors = sorted(
             (row[0], bottom, row[1])
@@ -738,14 +741,15 @@ class PieriTreeSource:
         edge_id: str,
         dest: LocalizationPattern,
         outcome: EdgeOutcome,
-    ) -> None:
+    ) -> bool:
         """Add one converged endpoint to its pattern group, collision-free.
 
         If the endpoint sits on an already claimed root, first re-track
         this edge along other arcs; if nothing vacant is found, the claim
         may be the jumped one, so re-track the colliding sibling instead
         and let this endpoint keep the spot.  If neither moves, the earlier
-        claim stays and this edge's subtree becomes a "collision" loss.
+        claim stays and False is returned: the caller records this edge's
+        subtree as a "collision" loss.
         """
         free = outcome.free
         colliding = [
@@ -763,16 +767,11 @@ class PieriTreeSource:
                 others = [r[1] for r in group if r is not sib] + [free]
                 moved = self._retry_collision(tasks[sib[0]], dest, sib[2], others)
                 if moved is None:
-                    self.losses.append(
-                        LossRecord(
-                            edge_id, dest.bottom, "collision",
-                            count_paths(dest, self._target),
-                        )
-                    )
-                    return
+                    return False
                 sib[1] = moved
                 self.retracked_edges.append(sib[0])
         group.append([edge_id, free, outcome.arc_used])
+        return True
 
     def _retry_collision(
         self,

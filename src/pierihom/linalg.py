@@ -1,12 +1,12 @@
 """Dense complex linear algebra kernels.
 
-Everything at desk scale is small (matrices up to roughly 12x12), so the
-factorizations favour explicit control over raw speed: LU with partial
-max-modulus pivoting is assembled here directly, exposing the permutation
-sign, the determinant, and the pivot magnitudes that the singularity
-threshold and the start-regularity diagnostics need.  The one hot path,
-batched minor determinants for gradient rows, is delegated to LAPACK
-through ``numpy.linalg.det`` on stacked matrices.
+The two hot-path kernels go to LAPACK: ``solve_linear`` is one
+``numpy.linalg.solve`` call, and ``cofactors_at`` is one stacked
+``numpy.linalg.det`` over every requested minor of a whole stack of
+matrices.  The explicit LU with partial max-modulus pivoting stays for
+diagnostics: it exposes the permutation sign, the determinant and the
+pivot magnitudes that the start-regularity checks and the rank checks
+report, and it defines the singularity threshold ``solve_linear`` keeps.
 """
 from __future__ import annotations
 
@@ -36,10 +36,6 @@ class LUFactors:
     det: complex
     scale: float
     min_pivot: float
-
-    @property
-    def singular(self) -> bool:
-        return self.min_pivot <= PIVOT_RTOL * self.scale
 
 
 def lu_decompose(a) -> LUFactors:
@@ -76,25 +72,35 @@ def det(a) -> complex:
     return lu_decompose(a).det
 
 
-def solve_factored(f: LUFactors, b) -> np.ndarray:
-    """Forward/back substitution against an existing factorization."""
-    x = np.array(np.asarray(b, dtype=np.complex128)[f.perm])
-    n = x.shape[0]
-    for k in range(1, n):
-        x[k] -= f.lu[k, :k] @ x[:k]
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - f.lu[k, k + 1 :] @ x[k + 1 :]) / f.lu[k, k]
-    return x
-
-
 def solve_linear(a, b) -> np.ndarray:
-    """Solve ``a @ x = b``, raising SingularMatrixError on rank deficiency."""
-    f = lu_decompose(a)
-    if f.singular:
+    """Solve ``a @ x = b``, raising SingularMatrixError on rank deficiency.
+
+    One LAPACK solve against ``[b | I]`` also yields the inverse.  With
+    |l_ij| <= 1, every pivot of ``lu_decompose(a)`` is at least
+    1 / (||a^-1||_F sqrt(n(n+1)/2)), so the bound below rejects every
+    matrix whose smallest LU pivot is at most PIVOT_RTOL * max|a_ij|
+    (and some whose pivots sit just above that).
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise ValueError(f"nonempty square matrix required, got shape {a.shape}")
+    n = a.shape[0]
+    rhs = np.empty((n, n + 1), dtype=np.complex128)
+    rhs[:, 0] = b
+    rhs[:, 1:] = np.eye(n)
+    try:
+        sol = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(f"LAPACK: {exc}") from None
+    bound = (
+        np.linalg.norm(sol[:, 1:]) * PIVOT_RTOL * float(np.max(np.abs(a)))
+        * np.sqrt(n * (n + 1) / 2)
+    )
+    if not (np.all(np.isfinite(sol)) and bound < 1.0):
         raise SingularMatrixError(
-            f"pivot {f.min_pivot:.3e} below {PIVOT_RTOL:.0e} * scale {f.scale:.3e}"
+            f"||inv||_F * {PIVOT_RTOL:.0e} * scale * sqrt(n(n+1)/2) = {bound:.3e} >= 1"
         )
-    return solve_factored(f, b)
+    return sol[:, 0]
 
 
 def cofactor(a, row: int, col: int) -> complex:
@@ -113,18 +119,19 @@ def cofactor(a, row: int, col: int) -> complex:
 
 
 def cofactors_at(a, rows, cols) -> np.ndarray:
-    """Signed cofactors of ``a`` at paired (rows, cols) positions, batched.
+    """Signed cofactors at paired (rows, cols) positions of a matrix stack.
 
-    Builds all requested minors with one fancy-indexing expression and runs
-    a single stacked determinant call; positions may repeat.
+    ``a`` has shape (..., n, n); the result has shape (..., len(rows)).
+    All requested minors of every matrix go through one fancy-indexing
+    expression and a single stacked determinant call; positions may repeat.
     """
     a = np.asarray(a, dtype=np.complex128)
-    n = a.shape[0]
+    n = a.shape[-1]
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
     keep = np.arange(n - 1)
     rowsel = np.where(keep[None, :] < rows[:, None], keep, keep + 1)
     colsel = np.where(keep[None, :] < cols[:, None], keep, keep + 1)
-    minors = a[rowsel[:, :, None], colsel[:, None, :]]
+    minors = a[..., rowsel[:, :, None], colsel[:, None, :]]
     signs = np.where((rows + cols) % 2, -1.0, 1.0)
     return signs * np.linalg.det(minors)

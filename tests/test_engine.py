@@ -590,18 +590,24 @@ def test_unresolved_collision_becomes_loss(monkeypatch) -> None:
             "converged", group[0][1].copy(), outcome.residual, outcome.steps_used,
             outcome.start_residual, outcome.start_min_pivot, outcome.start_scale,
         )
-        place(group, tasks, edge_id, dest, dup)
+        placed = place(group, tasks, edge_id, dest, dup)
+        assert placed is False
         assert len(group) == len(before)
         for row, (eid, free, arc) in zip(group, before):
             assert row[0] == eid and row[2] == arc
             assert np.array_equal(row[1], free)
         paths = count_paths(dest, target_pattern(2, 2, 0))
         seen.append(LossRecord(edge_id, dest.bottom, "collision", paths))
+        return placed
 
     monkeypatch.setattr(source, "_place_endpoint", colliding_place)
     run_dynamic(source, workers=1)
     assert len(seen) == 1
     assert source.losses == seen
+    # the collided edge's record reports the loss, not the tracker's status
+    statuses = {rec.edge_id: rec.status for rec in source.edge_records}
+    assert statuses[seen[0].edge_id] == "collision"
+    assert sum(s == "collision" for s in statuses.values()) == 1
     lost = sum(loss.paths_lost for loss in source.losses)
     assert len(source.solutions) + lost == pieri_root_count(2, 2, 0)
 

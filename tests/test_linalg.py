@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from pierihom.linalg import (
+    PIVOT_RTOL,
     LUFactors,
     SingularMatrixError,
     cofactor,
@@ -109,10 +110,39 @@ def test_solve_singular_raises_dedicated_error() -> None:
 
 
 def test_solve_near_singular_below_threshold_raises() -> None:
-    # pivot ratio 1e-16 relative to scale 1.0 is below the 1e-14 threshold
-    a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-16]])
-    with pytest.raises(SingularMatrixError):
-        solve_linear(a, [1.0, 2.0])
+    # the second pivot is eps relative to scale 1.0, at or below the 1e-14
+    # threshold; 1 + 1e-16 rounds to exactly 1, so that one is singular
+    for eps in (1e-16, 1e-15, 1e-14):
+        a = np.array([[1.0, 1.0], [1.0, 1.0 + eps]])
+        with pytest.raises(SingularMatrixError):
+            solve_linear(a, [1.0, 2.0])
+
+
+def test_solve_near_singular_above_threshold_solves() -> None:
+    a = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])
+    x = solve_linear(a, [1.0, 2.0])
+    assert np.allclose(x, [1.0 - 1e12, 1e12], rtol=1e-3)
+
+
+def test_solve_raises_whenever_lu_pivot_is_below_threshold() -> None:
+    # the LAPACK solve's inverse-norm bound must reject every matrix the
+    # explicit LU's pivot test rejects; sweep sigma_min across the threshold
+    rng = np.random.default_rng(20261018)
+    flagged = 0
+    for trial in range(300):
+        n = int(rng.integers(2, 9))
+        q1, _ = np.linalg.qr(random_complex(rng, (n, n)))
+        q2, _ = np.linalg.qr(random_complex(rng, (n, n)))
+        sigma = np.sort(rng.uniform(0.1, 10.0, n))[::-1]
+        sigma[-1] = 10.0 ** rng.uniform(-17, -11)
+        a = (q1 * sigma) @ q2
+        f = lu_decompose(a)
+        if f.min_pivot > PIVOT_RTOL * f.scale:
+            continue
+        flagged += 1
+        with pytest.raises(SingularMatrixError):
+            solve_linear(a, random_complex(rng, n))
+    assert flagged >= 50
 
 
 def test_cofactor_hand_values() -> None:
@@ -150,6 +180,16 @@ def test_cofactors_at_matches_scalar_cofactor() -> None:
             assert abs(batched[k] - cofactor(a, r, c)) <= 1e-11 * max(
                 1.0, abs(batched[k])
             )
+        # a (k, n, n) stack gives one row of cofactors per matrix
+        stack = random_complex(rng, (3, n, n))
+        stacked = cofactors_at(stack, rows, cols)
+        assert stacked.shape == (3, len(rows))
+        for i in range(3):
+            assert np.array_equal(stacked[i], cofactors_at(stack[i], rows, cols))
+            for k, (r, c) in enumerate(zip(rows, cols)):
+                assert abs(stacked[i, k] - cofactor(stack[i], r, c)) <= 1e-11 * max(
+                    1.0, abs(stacked[i, k])
+                )
 
 
 def test_lu_factors_is_frozen_dataclass() -> None:
