@@ -52,11 +52,6 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    if args.schedule != "dynamic":
-        raise ValueError(
-            "pieri solves require --schedule dynamic: edge jobs depend on "
-            "their parent's result"
-        )
     options = _tracker_options(args)
     problem = ProblemInput.generate(args.m, args.p, args.q, args.seed)
     print(f"m={args.m} p={args.p} q={args.q} seed={args.seed} "

@@ -40,17 +40,15 @@ SAME_ROOT_TOL = 1e-4
 # target system never changes, but a rotation replaces every intermediate
 # system, stepping around data that is degenerate for one ordering
 MAX_CONDITION_ORDERS = 4
-# fixed detour arcs through the complex t-plane, straight path first; a
-# path blocked by a near-singular fiber at real t is retried around it
-GAMMA_ARCS = (
-    1.0 + 0.0j,
-    np.exp(0.8j),
-    np.exp(-0.8j),
-    np.exp(1.6j),
-    np.exp(-1.6j),
+# how one edge is re-tracked, in order: the straight path, then fixed detour
+# arcs through the complex t-plane around a near-singular fiber at real t,
+# then the same five with the step size cut 5x and 25x; rungs are
+# (step shrink, arc), and the worker and the master walk the same ladder
+RETRY_LADDER = tuple(
+    (shrink, gamma)
+    for shrink in (1.0, 5.0, 25.0)
+    for gamma in (1.0 + 0.0j, np.exp(0.8j), np.exp(-0.8j), np.exp(1.6j), np.exp(-1.6j))
 )
-# step shrink factors swept (with all arcs) when an endpoint collides
-COLLISION_SHRINKS = (1.0, 5.0, 25.0)
 
 
 # ----------------------------------------------------- coefficient layout
@@ -230,6 +228,12 @@ def condition_gradient(x: MapEvaluator, plane, s: complex, t: complex) -> np.nda
 # --------------------------------------------------------- problem input
 
 
+def _full_rank(plane: np.ndarray) -> bool:
+    """Whether an (m+p) x m plane has full column rank, up to RANK_TOL."""
+    sv = np.linalg.svd(plane, compute_uv=False)
+    return bool(sv[-1] > RANK_TOL * sv[0])
+
+
 @dataclass(eq=False)
 class ProblemInput:
     """One feedback-law instance: sizes, planes, interpolation points."""
@@ -258,11 +262,8 @@ class ProblemInput:
             for j in range(i + 1, n):
                 if abs(self.points[i] - self.points[j]) < 1e-9:
                     raise ValueError(f"points {i} and {j} coincide")
-        rng = np.random.default_rng(0)
         for i in range(n):
-            rows = rng.choice(mp, size=self.m, replace=False)
-            f = lu_decompose(self.planes[i][rows])
-            if f.min_pivot <= RANK_TOL * max(f.scale, 1e-300):
+            if not _full_rank(self.planes[i]):
                 raise ValueError(f"plane {i} is rank deficient")
 
     @property
@@ -273,7 +274,7 @@ class ProblemInput:
     def generate(cls, m: int, p: int, q: int, seed: int) -> "ProblemInput":
         """Seeded general-position instance.
 
-        Draw order is fixed (planes, then points, then rank-check rows) so
+        Draw order is fixed (planes, then points, then redrawn planes) so
         instances are reproducible across platforms.
         """
         n = num_conditions(m, p, q)
@@ -291,11 +292,7 @@ class ProblemInput:
             points[count] = s
             count += 1
         for i in range(n):
-            while True:
-                rows = rng.choice(mp, size=m, replace=False)
-                f = lu_decompose(planes[i][rows])
-                if f.min_pivot > RANK_TOL * max(f.scale, 1e-300):
-                    break
+            while not _full_rank(planes[i]):
                 planes[i] = rng.standard_normal((mp, m)) + 1j * rng.standard_normal(
                     (mp, m)
                 )
@@ -446,20 +443,6 @@ def embed_start(
     return out
 
 
-def _edge_homotopy(
-    problem: ProblemInput, dest: LocalizationPattern, k: int
-) -> EdgeHomotopy:
-    """The homotopy for the edge that imposes condition k on pattern dest."""
-    return EdgeHomotopy(
-        dest,
-        problem.points[: k - 1],
-        problem.planes[: k - 1],
-        problem.points[k - 1],
-        problem.planes[k - 1],
-        special_plane(dest),
-    )
-
-
 @dataclass
 class EdgeOutcome:
     """What one tracked edge reports back to the master."""
@@ -471,16 +454,15 @@ class EdgeOutcome:
     start_residual: float
     start_min_pivot: float
     start_scale: float
-    arc_used: int = 0  # index into GAMMA_ARCS of the arc that converged
+    arc_used: int = 0  # the RETRY_LADDER rung of the last track
 
 
 @dataclass(frozen=True, eq=False)
 class EdgeTask:
     """Self-contained worker payload: track one edge of the tree.
 
-    A failed or diverged straight track is retried along the detour arcs;
-    the ladder is fixed, so outcomes stay deterministic for every worker
-    count.
+    The edge is tracked up RETRY_LADDER until a rung converges; the ladder
+    is fixed, so outcomes stay deterministic for every worker count.
     """
 
     problem: ProblemInput
@@ -490,15 +472,37 @@ class EdgeTask:
     source_free: np.ndarray
     options: TrackerOptions
 
-    def run(self) -> EdgeOutcome:
+    @functools.cached_property
+    def start(self) -> tuple[EdgeHomotopy, np.ndarray]:
+        """The edge's homotopy, imposing condition k on the deeper pattern,
+        and the source node lifted into it as the start point."""
         prob = self.problem
         source = LocalizationPattern(prob.m, prob.p, prob.q, self.source_bottom)
         dest = LocalizationPattern(prob.m, prob.p, prob.q, self.dest_bottom)
         k = self.cond_index
         if k != degrees_of_freedom(dest):
             raise ValueError("condition index must equal the deeper pattern's depth")
-        hom = _edge_homotopy(prob, dest, k)
-        x0 = embed_start(source, self.source_free, dest)
+        hom = EdgeHomotopy(
+            dest, prob.points[: k - 1], prob.planes[: k - 1],
+            prob.points[k - 1], prob.planes[k - 1], special_plane(dest),
+        )
+        return hom, embed_start(source, self.source_free, dest)
+
+    def rungs(self, first: int = 0):
+        """Track the edge on each ladder rung from ``first`` up, lazily,
+        yielding (rung, PathResult)."""
+        hom, x0 = self.start
+        for rung in range(first, len(RETRY_LADDER)):
+            shrink, gamma = RETRY_LADDER[rung]
+            arc = hom if gamma == 1.0 else GammaArc(hom, gamma)
+            opts = self.options
+            if shrink != 1.0:
+                h = max(opts.h_max / shrink, opts.h_min)
+                opts = replace(opts, h_init=h, h_max=h)
+            yield rung, track_path(arc, x0, opts)
+
+    def run(self) -> EdgeOutcome:
+        hom, x0 = self.start
         start_residual = float(np.linalg.norm(hom.eval(x0, 0.0)))
         f = lu_decompose(hom.jacobian_x(x0, 0.0))
         if start_residual > self.options.residual_tol:
@@ -507,16 +511,14 @@ class EdgeTask:
                 start_residual, f.min_pivot, f.scale,
             )
         steps_total = 0
-        for arc_used, gamma in enumerate(GAMMA_ARCS):
-            arc = hom if gamma == 1.0 else GammaArc(hom, gamma)
-            res = track_path(arc, x0, self.options)
+        for rung, res in self.rungs():
             steps_total += res.steps_used
             if res.status == "converged":
                 break
         free = res.endpoint if res.status == "converged" else None
         return EdgeOutcome(
             res.status, free, res.residual, steps_total,
-            start_residual, f.min_pivot, f.scale, arc_used,
+            start_residual, f.min_pivot, f.scale, rung,
         )
 
 
@@ -590,8 +592,8 @@ class PieriTreeSource:
     covering their subtree.  Paths arriving at one pattern must land on
     distinct roots of one condition system, so converged endpoints are
     deduplicated per pattern before their subtrees spawn; an endpoint that
-    collides with an already accepted sibling is re-tracked along
-    alternative arcs, and becomes a loss if that fails.  Levels are
+    collides with an already accepted sibling is re-tracked further up
+    its retry ladder, and becomes a loss if that fails.  Levels are
     processed in edge-id order, which keeps everything deterministic for
     any worker count.
     """
@@ -670,7 +672,8 @@ class PieriTreeSource:
         tasks = self._level_tasks
         self._level_results = []
         self._level_tasks = {}
-        # per destination pattern: mutable [edge_id, endpoint, arc_used] rows
+        # per destination pattern: mutable [edge_id, endpoint, rung] rows,
+        # rung being the RETRY_LADDER rung that tracked the endpoint
         accepted: dict[tuple[int, ...], list[list]] = {}
         for edge_id, result in entries:
             dest = self._pattern_at(edge_id)
@@ -744,65 +747,44 @@ class PieriTreeSource:
     ) -> bool:
         """Add one converged endpoint to its pattern group, collision-free.
 
-        If the endpoint sits on an already claimed root, first re-track
-        this edge along other arcs; if nothing vacant is found, the claim
-        may be the jumped one, so re-track the colliding sibling instead
-        and let this endpoint keep the spot.  If neither moves, the earlier
-        claim stays and False is returned: the caller records this edge's
-        subtree as a "collision" loss.
+        If the endpoint sits on an already claimed root, first continue
+        this edge's retry ladder; if nothing vacant is found, the claim
+        may be the jumped one, so continue the colliding sibling's ladder
+        instead and let this endpoint keep the spot.  If neither moves, the
+        earlier claim stays and False is returned: the caller records this
+        edge's subtree as a "collision" loss.
         """
-        free = outcome.free
+        free, rung = outcome.free, outcome.arc_used
         colliding = [
             row for row in group if _coeff_distance(free, row[1]) <= SAME_ROOT_TOL
         ]
         if colliding:
-            retracked = self._retry_collision(
-                tasks[edge_id], dest, outcome.arc_used, [r[1] for r in group]
-            )
-            if retracked is not None:
-                free = retracked
+            moved = self._retry_collision(tasks[edge_id], rung, [r[1] for r in group])
+            if moved is not None:
+                free, rung = moved
                 self.retracked_edges.append(edge_id)
             else:
                 sib = colliding[0]
                 others = [r[1] for r in group if r is not sib] + [free]
-                moved = self._retry_collision(tasks[sib[0]], dest, sib[2], others)
+                moved = self._retry_collision(tasks[sib[0]], sib[2], others)
                 if moved is None:
                     return False
-                sib[1] = moved
+                sib[1:] = moved
                 self.retracked_edges.append(sib[0])
-        group.append([edge_id, free, outcome.arc_used])
+        group.append([edge_id, free, rung])
         return True
 
     def _retry_collision(
-        self,
-        task: EdgeTask,
-        dest: LocalizationPattern,
-        arc_used: int,
-        group: list[np.ndarray],
-    ) -> np.ndarray | None:
-        """Look for this edge's own root along other arcs and step sizes."""
-        prob = self._problem
-        source = LocalizationPattern(prob.m, prob.p, prob.q, task.source_bottom)
-        hom = _edge_homotopy(prob, dest, task.cond_index)
-        x0 = embed_start(source, task.source_free, dest)
-        for shrink in COLLISION_SHRINKS:
-            h = max(task.options.h_max / shrink, task.options.h_min)
-            opts = (
-                task.options
-                if shrink == 1.0
-                else replace(task.options, h_init=h, h_max=h)
-            )
-            for ai, gamma in enumerate(GAMMA_ARCS):
-                if shrink == 1.0 and ai == arc_used:
-                    continue
-                arc = hom if gamma == 1.0 else GammaArc(hom, gamma)
-                res = track_path(arc, x0, opts)
-                if res.status != "converged":
-                    continue
-                if all(
-                    _coeff_distance(res.endpoint, g) > SAME_ROOT_TOL for g in group
-                ):
-                    return res.endpoint
+        self, task: EdgeTask, rung: int, group: list[np.ndarray]
+    ) -> tuple[np.ndarray, int] | None:
+        """Continue ``task``'s retry ladder above ``rung``, the rung of its
+        current endpoint, to the first converged endpoint that no root in
+        ``group`` has claimed; returns that (endpoint, rung) or None."""
+        for rung, res in task.rungs(rung + 1):
+            if res.status == "converged" and all(
+                _coeff_distance(res.endpoint, g) > SAME_ROOT_TOL for g in group
+            ):
+                return res.endpoint, rung
         return None
 
 

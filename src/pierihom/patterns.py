@@ -80,10 +80,6 @@ class LocalizationPattern:
         return tuple(range(1, self.p + 1))
 
     @property
-    def heights(self) -> tuple[int, ...]:
-        return column_heights(self.m, self.p, self.q)
-
-    @property
     def depth(self) -> int:
         """Free coefficients = stars minus the p pinned top pivots."""
         return sum(b - t for b, t in zip(self.bottom, self.top))
@@ -220,40 +216,3 @@ def tree_leaves(root: PieriTreeNode) -> list[PieriTreeNode]:
         else:
             leaves.append(node)
     return leaves
-
-
-def poset_dot(m: int, p: int, q: int) -> str:
-    """GraphViz text for the pattern poset, edges along increments."""
-    start = trivial_pattern(m, p, q)
-    seen = {start.bottom}
-    frontier = [start]
-    lines = ["digraph poset {", '  rankdir="BT";']
-    while frontier:
-        pattern = frontier.pop()
-        for up in increments(pattern):
-            lines.append(f'  "{pattern}" -> "{up}";')
-            if up.bottom not in seen:
-                seen.add(up.bottom)
-                frontier.append(up)
-    lines.append("}")
-    return "\n".join(lines)
-
-
-def tree_dot(root: PieriTreeNode) -> str:
-    """GraphViz text for a materialized Pieri tree."""
-    lines = ["digraph tree {"]
-    counter = 0
-
-    def visit(node: PieriTreeNode) -> int:
-        nonlocal counter
-        node_id = counter
-        counter += 1
-        lines.append(f'  n{node_id} [label="{node.pattern}"];')
-        for child in node.children:
-            child_id = visit(child)
-            lines.append(f"  n{node_id} -> n{child_id};")
-        return node_id
-
-    visit(root)
-    lines.append("}")
-    return "\n".join(lines)

@@ -13,7 +13,9 @@ import json
 import numpy as np
 import pytest
 
+from pierihom import engine
 from pierihom.engine import (
+    RETRY_LADDER,
     EdgeHomotopy,
     EdgeOutcome,
     EdgeTask,
@@ -45,7 +47,7 @@ from pierihom.patterns import (
     target_pattern,
     trivial_pattern,
 )
-from pierihom.tracker import TrackerOptions
+from pierihom.tracker import PathResult, TrackerOptions
 
 
 def laplace_det(a: np.ndarray) -> complex:
@@ -343,6 +345,20 @@ def test_problem_input_rejects_malformed() -> None:
         problem_from_json("not json at all")
 
 
+def test_problem_input_rank_check_uses_the_whole_plane() -> None:
+    # every coordinate 2-plane of C^4 has full column rank, whichever rows
+    # happen to be zero; two parallel columns do not
+    prob = ProblemInput.generate(2, 2, 0, 1)
+    for cols in itertools.combinations(range(4), 2):
+        planes = prob.planes.copy()
+        planes[0] = np.eye(4)[:, list(cols)]
+        ProblemInput(2, 2, 0, 1, planes, prob.points)
+    planes = prob.planes.copy()
+    planes[2][:, 1] = (2.0 - 1.0j) * planes[2][:, 0]
+    with pytest.raises(ValueError, match="plane 2 is rank deficient"):
+        ProblemInput(2, 2, 0, 1, planes, prob.points)
+
+
 # -------------------------------------------------------- edge homotopy
 
 
@@ -440,6 +456,31 @@ def test_first_edge_matches_linear_closed_form() -> None:
     assert abs(outcome.free[0] - root) <= 1e-8
     assert outcome.start_residual <= 1e-14
     assert outcome.start_min_pivot > 1e-10 * outcome.start_scale
+
+
+def test_edge_task_climbs_to_shrunk_steps(monkeypatch) -> None:
+    # every full-step rung fails, so the edge must converge on the first
+    # rung with shrunk steps: the straight path at h_max / 5
+    problem = ProblemInput.generate(2, 2, 0, 17)
+    opts = TrackerOptions()
+    real_track = engine.track_path
+    tracked = []
+
+    def full_steps_fail(hom, x0, path_opts):
+        tracked.append((getattr(hom, "gamma", 1.0), path_opts.h_max))
+        if path_opts.h_max == opts.h_max:
+            return PathResult("failed", x0, 0.0, 1.0, 1, 0)
+        return real_track(hom, x0, path_opts)
+
+    monkeypatch.setattr(engine, "track_path", full_steps_fail)
+    task = EdgeTask(problem, trivial_pattern(2, 2, 0).bottom, (1, 3), 1,
+                    np.zeros(0, dtype=np.complex128), opts)
+    outcome = task.run()
+    assert RETRY_LADDER[5] == (5.0, 1.0)
+    assert outcome.status == "converged"
+    assert outcome.arc_used == 5
+    assert tracked[-1] == (1.0, opts.h_max / 5.0)
+    assert len(tracked) == 6
 
 
 def test_edge_task_flags_start_violation() -> None:
@@ -612,21 +653,84 @@ def test_unresolved_collision_becomes_loss(monkeypatch) -> None:
     assert len(source.solutions) + lost == pieri_root_count(2, 2, 0)
 
 
-def test_collision_retracks_recover_distinct_roots() -> None:
+def test_collision_retracks_recover_distinct_roots(monkeypatch) -> None:
     # (2,2,1) seed 12 lands endpoints on claimed roots; the master must
     # re-track them onto vacant roots rather than lose or duplicate laws
     from pierihom.engine import SAME_ROOT_TOL, PieriTreeSource, _coeff_distance
     from pierihom.scheduler import run_dynamic
 
     problem = ProblemInput.generate(2, 2, 1, 12)
-    source = PieriTreeSource(problem, TrackerOptions())
+    opts = TrackerOptions()
+    source = PieriTreeSource(problem, opts)
+    # the rung each task's worker converged on, and every rung the master
+    # tracks inside a retrack, mapped back from the arc and step size
+    worker_rung = {}
+    retracks = []
+    inside = []
+    rung_of = {
+        (gamma, max(opts.h_max / shrink, opts.h_min)): i
+        for i, (shrink, gamma) in enumerate(RETRY_LADDER)
+    }
+    real_run, real_track = EdgeTask.run, engine.track_path
+    real_retry = source._retry_collision
+
+    def recording_run(task):
+        outcome = real_run(task)
+        worker_rung[task] = outcome.arc_used
+        return outcome
+
+    def recording_retry(task, rung, group):
+        retracks.append((task, []))
+        inside.append(True)
+        try:
+            return real_retry(task, rung, group)
+        finally:
+            inside.pop()
+
+    def recording_track(hom, x0, path_opts):
+        if inside:
+            key = (getattr(hom, "gamma", 1.0), path_opts.h_max)
+            retracks[-1][1].append(rung_of[key])
+        return real_track(hom, x0, path_opts)
+
+    monkeypatch.setattr(EdgeTask, "run", recording_run)
+    monkeypatch.setattr(engine, "track_path", recording_track)
+    monkeypatch.setattr(source, "_retry_collision", recording_retry)
     run_dynamic(source, workers=1)
     assert source.retracked_edges
+    assert any(rungs for _, rungs in retracks)
+    for task, rungs in retracks:
+        assert all(rung > worker_rung[task] for rung in rungs)
     assert source.losses == []
     sols = source.solutions
     assert len(sols) == pieri_root_count(2, 2, 1) == 8
     for a, b in itertools.combinations(sols, 2):
         assert _coeff_distance(a.coefficients, b.coefficients) > SAME_ROOT_TOL
+
+
+def test_condition_rotation_recovers_lost_walk(monkeypatch) -> None:
+    # (2,2,1) seed 5 loses a path to an endpoint collision under the given
+    # condition order; the first rotation must find all 8 laws, and they
+    # must solve the problem as given, not the rotated one
+    problem = ProblemInput.generate(2, 2, 1, 5)
+    real_run_tree = engine._run_tree
+    walks = []
+
+    def recording_run_tree(attempt, original, workers, options):
+        result = real_run_tree(attempt, original, workers, options)
+        walks.append(result)
+        return result
+
+    monkeypatch.setattr(engine, "_run_tree", recording_run_tree)
+    result = solve_pieri(problem)
+    assert len(walks) == 2
+    assert walks[0].lost_paths > 0
+    assert result is walks[1]
+    assert len(result.solutions) == pieri_root_count(2, 2, 1) == 8
+    assert result.losses == []
+    report = verify(result.solutions, problem)
+    assert report.max_residual <= 1e-8
+    assert report.min_distance > 1e-4
 
 
 # ---------------------------------------------------- verify and JSON

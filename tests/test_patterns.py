@@ -23,9 +23,7 @@ from pierihom.patterns import (
     num_conditions,
     pieri_root_count,
     pieri_tree,
-    poset_dot,
     target_pattern,
-    tree_dot,
     tree_leaves,
     trivial_pattern,
 )
@@ -307,12 +305,3 @@ def test_tree_leaf_count_matches_poset_count_up_to_n_12() -> None:
     for m, p, q in combos:
         root = pieri_tree(m, p, q)
         assert len(tree_leaves(root)) == pieri_root_count(m, p, q), (m, p, q)
-
-
-def test_dot_emitters_smoke() -> None:
-    text = poset_dot(2, 2, 1)
-    assert text.startswith("digraph")
-    assert '"[1 2]"' in text and '"[4 7]"' in text
-    tree_text = tree_dot(pieri_tree(2, 2, 0))
-    assert tree_text.startswith("digraph")
-    assert tree_text.count("->") == 7  # 8 tree nodes, 7 edges
