@@ -24,7 +24,7 @@ from .patterns import (
     trivial_pattern,
 )
 from .polysys import PolySystem, total_degree_start
-from .scheduler import run_dynamic, run_static, schedule_report
+from .scheduler import run_dynamic, run_static
 from .tracker import TrackerOptions, track_all, track_path
 
 __version__ = "0.1.0"
@@ -42,7 +42,6 @@ __all__ = [
     "pieri_tree",
     "run_dynamic",
     "run_static",
-    "schedule_report",
     "solutions_to_json",
     "solve_pieri",
     "target_pattern",

@@ -4,11 +4,12 @@ Subcommands:
   count  print the number of feedback laws for problem sizes (m, p, q)
   solve  generate a seeded random instance, solve it, write solution JSON
   track  track all total-degree start paths of a polynomial system file
-  bench  compare static and dynamic dispatch on synthetic job profiles
 
 Exit codes: 0 success, 1 solve finished with lost paths, 2 usage or
 input error.  Every subcommand is deterministic given its seed and flags;
-parallelism lives entirely in the scheduler module.
+parallelism lives entirely in the scheduler module.  Only ``track`` takes
+``--schedule``: its paths are independent, while ``solve``'s edge jobs
+depend on their parents and always run under dynamic dispatch.
 """
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,11 +24,7 @@ import numpy as np
 from .engine import ProblemInput, solutions_to_json, solve_pieri, verify
 from .patterns import dmp_count, num_conditions, pieri_root_count, target_pattern
 from .polysys import Homotopy, system_from_json, total_degree_start
-from .scheduler import JobMessage, ListSource, run_dynamic, run_static, schedule_report
 from .tracker import TrackerOptions, track_all
-
-BENCH_JOBS = 16
-BENCH_SCALE = 0.01  # sleep unit in seconds; heavytail's big job is 10 units
 
 
 def _tracker_options(args: argparse.Namespace) -> TrackerOptions | None:
@@ -54,13 +50,11 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     options = _tracker_options(args)
     problem = ProblemInput.generate(args.m, args.p, args.q, args.seed)
-    print(f"m={args.m} p={args.p} q={args.q} seed={args.seed} "
-          f"workers={args.workers} schedule={args.schedule}")
+    print(f"m={args.m} p={args.p} q={args.q} seed={args.seed} workers={args.workers}")
     print(f"root count: {pieri_root_count(args.m, args.p, args.q)}")
     begin = time.perf_counter()
     try:
-        result = solve_pieri(problem, schedule=args.schedule,
-                             workers=args.workers, options=options)
+        result = solve_pieri(problem, workers=args.workers, options=options)
     except RuntimeError as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return 1
@@ -135,67 +129,6 @@ def cmd_track(args: argparse.Namespace) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class SleepJob:
-    """Synthetic job with a known duration, for scheduling benchmarks."""
-
-    duration: float
-
-    def run(self) -> float:
-        time.sleep(self.duration)
-        return self.duration
-
-
-def bench_durations(profile: str, scale: float = BENCH_SCALE) -> list[float]:
-    """Job durations for a named profile, in seconds.
-
-    uniform: equal jobs.  heavytail: one job 10x the rest, placed so a
-    round-robin split stacks it with ordinary jobs on the same worker.
-    """
-    if profile == "uniform":
-        return [scale] * BENCH_JOBS
-    if profile == "heavytail":
-        return [scale * (10.0 if i == 1 else 1.0) for i in range(BENCH_JOBS)]
-    raise ValueError(f"unknown profile {profile!r}")
-
-
-def run_bench(profile: str, workers: int, scale: float = BENCH_SCALE) -> dict:
-    """Run one profile under both schedules; returns their schedule reports."""
-    jobs = [JobMessage(i, "independent-path", SleepJob(d))
-            for i, d in enumerate(bench_durations(profile, scale))]
-    static_results = run_static(jobs, workers)
-    dynamic_results = run_dynamic(ListSource(jobs), workers)
-    return {
-        "profile": profile,
-        "workers": workers,
-        "static": schedule_report(static_results, workers),
-        "dynamic": schedule_report(dynamic_results, workers),
-    }
-
-
-def _report_row(name: str, report: dict) -> str:
-    ids = sorted(report["workers"])
-    jobs = "/".join(str(report["workers"][w]["jobs"]) for w in ids)
-    busy = "/".join(f"{report['workers'][w]['busy']:.3f}" for w in ids)
-    return f"  {name:<8} wall {report['wall']:.3f}s  jobs {jobs}  busy {busy}"
-
-
-def cmd_bench(args: argparse.Namespace) -> int:
-    profiles = ["uniform", "heavytail"] if args.profile == "all" else [args.profile]
-    for profile in profiles:
-        for workers in args.workers:
-            bench = run_bench(profile, workers)
-            print(f"profile {profile}, workers {workers}, "
-                  f"{BENCH_JOBS} jobs, unit {BENCH_SCALE:.3f}s")
-            print(_report_row("static", bench["static"]))
-            print(_report_row("dynamic", bench["dynamic"]))
-            dyn_wall = bench["dynamic"]["wall"]
-            if dyn_wall > 0:
-                ratio = bench["static"]["wall"] / dyn_wall
-                print(f"  improvement static/dynamic: {ratio:.2f}")
-    return 0
-
-
 def _add_sizes(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-m", type=int, required=True, help="number of inputs")
     parser.add_argument("-p", type=int, required=True, help="number of outputs")
@@ -203,13 +136,10 @@ def _add_sizes(parser: argparse.ArgumentParser) -> None:
                         help="number of internal states (default 0)")
 
 
-def _add_tracking(parser: argparse.ArgumentParser, default_schedule: str) -> None:
+def _add_tracking(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker threads (default 1)")
-    parser.add_argument("--schedule", choices=("static", "dynamic"),
-                        default=default_schedule,
-                        help=f"dispatch policy (default {default_schedule})")
     parser.add_argument("--output", default=None, help="output JSON path")
     parser.add_argument("--tol", type=float, default=None,
                         help="endpoint residual tolerance")
@@ -232,23 +162,16 @@ def build_parser() -> argparse.ArgumentParser:
     solve_p = sub.add_parser(
         "solve", help="solve a seeded random instance and write solutions")
     _add_sizes(solve_p)
-    _add_tracking(solve_p, default_schedule="dynamic")
+    _add_tracking(solve_p)
     solve_p.set_defaults(func=cmd_solve)
 
     track_p = sub.add_parser(
         "track", help="track all total-degree starts of a system JSON file")
     track_p.add_argument("--input", required=True, help="system JSON path")
-    _add_tracking(track_p, default_schedule="static")
+    _add_tracking(track_p)
+    track_p.add_argument("--schedule", choices=("static", "dynamic"),
+                         default="static", help="dispatch policy (default static)")
     track_p.set_defaults(func=cmd_track)
-
-    bench_p = sub.add_parser(
-        "bench", help="compare static and dynamic dispatch on synthetic jobs")
-    bench_p.add_argument("profile", nargs="?", default="all",
-                         choices=("uniform", "heavytail", "all"),
-                         help="job duration profile (default: both)")
-    bench_p.add_argument("--workers", type=int, nargs="+", default=[1, 2, 4],
-                         help="worker counts to benchmark (default 1 2 4)")
-    bench_p.set_defaults(func=cmd_bench)
     return parser
 
 

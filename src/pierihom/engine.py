@@ -559,7 +559,11 @@ class LossRecord:
 
 @dataclass
 class EdgeRecord:
-    """Per-edge diagnostics kept for reporting and contract checks."""
+    """Per-edge diagnostics kept for reporting and contract checks.
+
+    ``steps_used`` counts every tracker step spent on the edge: the
+    worker's and those of the master's collision retracks.
+    """
 
     edge_id: str
     depth: int
@@ -569,6 +573,7 @@ class EdgeRecord:
     start_residual: float
     start_min_pivot: float
     start_scale: float
+    rung: int = 0  # the RETRY_LADDER rung of the endpoint kept
 
 
 @dataclass
@@ -672,56 +677,44 @@ class PieriTreeSource:
         tasks = self._level_tasks
         self._level_results = []
         self._level_tasks = {}
-        # per destination pattern: mutable [edge_id, endpoint, rung] rows,
-        # rung being the RETRY_LADDER rung that tracked the endpoint
+        # per destination pattern: mutable [EdgeRecord, endpoint] rows
         accepted: dict[tuple[int, ...], list[list]] = {}
         for edge_id, result in entries:
             dest = self._pattern_at(edge_id)
             depth = degrees_of_freedom(dest)
             if result.status != "ok":
                 self.fatal.append(f"edge {edge_id}: {result.payload}")
-                self.losses.append(
-                    LossRecord(
-                        edge_id, dest.bottom, "error",
-                        count_paths(dest, self._target),
-                    )
+                record = EdgeRecord(edge_id, depth, dest.bottom, "error", 0, 0.0, 0.0, 0.0)
+            else:
+                outcome: EdgeOutcome = result.payload
+                record = EdgeRecord(
+                    edge_id, depth, dest.bottom, outcome.status,
+                    outcome.steps_used, outcome.start_residual,
+                    outcome.start_min_pivot, outcome.start_scale, outcome.arc_used,
                 )
-                self.edge_records.append(
-                    EdgeRecord(edge_id, depth, dest.bottom, "error", 0, 0.0, 0.0, 0.0)
-                )
-                continue
-            outcome: EdgeOutcome = result.payload
-            status = outcome.status
-            if status == "converged" and not self._place_endpoint(
-                accepted.setdefault(dest.bottom, []),
-                tasks, edge_id, dest, outcome,
-            ):
-                status = "collision"
-            if status == "start_violation":
+                if outcome.status == "converged" and not self._place_endpoint(
+                    accepted.setdefault(dest.bottom, []), tasks, record, outcome.free,
+                ):
+                    record.status = "collision"
+            self.edge_records.append(record)
+            if record.status == "start_violation":
                 self.fatal.append(
                     f"edge {edge_id}: start residual "
-                    f"{outcome.start_residual:.3e} exceeds "
+                    f"{record.start_residual:.3e} exceeds "
                     f"{self._options.residual_tol:.0e} "
                     "(special plane or normalization contract broken)"
                 )
-            if status != "converged":
+            if record.status != "converged":
                 self.losses.append(
                     LossRecord(
-                        edge_id, dest.bottom, status,
+                        edge_id, dest.bottom, record.status,
                         count_paths(dest, self._target),
                     )
                 )
-            self.edge_records.append(
-                EdgeRecord(
-                    edge_id, depth, dest.bottom, status,
-                    outcome.steps_used, outcome.start_residual,
-                    outcome.start_min_pivot, outcome.start_scale,
-                )
-            )
         survivors = sorted(
-            (row[0], bottom, row[1])
+            (record.edge_id, bottom, free)
             for bottom, rows in accepted.items()
-            for row in rows
+            for record, free in rows
         )
         next_jobs: list[JobMessage] = []
         for edge_id, bottom, free in survivors:
@@ -741,9 +734,8 @@ class PieriTreeSource:
         self,
         group: list[list],
         tasks: dict[str, EdgeTask],
-        edge_id: str,
-        dest: LocalizationPattern,
-        outcome: EdgeOutcome,
+        record: EdgeRecord,
+        free: np.ndarray,
     ) -> bool:
         """Add one converged endpoint to its pattern group, collision-free.
 
@@ -754,37 +746,42 @@ class PieriTreeSource:
         earlier claim stays and False is returned: the caller records this
         edge's subtree as a "collision" loss.
         """
-        free, rung = outcome.free, outcome.arc_used
         colliding = [
             row for row in group if _coeff_distance(free, row[1]) <= SAME_ROOT_TOL
         ]
         if colliding:
-            moved = self._retry_collision(tasks[edge_id], rung, [r[1] for r in group])
+            moved = self._retry_collision(
+                tasks[record.edge_id], record, [r[1] for r in group]
+            )
             if moved is not None:
-                free, rung = moved
-                self.retracked_edges.append(edge_id)
+                free = moved
+                self.retracked_edges.append(record.edge_id)
             else:
                 sib = colliding[0]
                 others = [r[1] for r in group if r is not sib] + [free]
-                moved = self._retry_collision(tasks[sib[0]], sib[2], others)
+                moved = self._retry_collision(tasks[sib[0].edge_id], sib[0], others)
                 if moved is None:
                     return False
-                sib[1:] = moved
-                self.retracked_edges.append(sib[0])
-        group.append([edge_id, free, rung])
+                sib[1] = moved
+                self.retracked_edges.append(sib[0].edge_id)
+        group.append([record, free])
         return True
 
     def _retry_collision(
-        self, task: EdgeTask, rung: int, group: list[np.ndarray]
-    ) -> tuple[np.ndarray, int] | None:
-        """Continue ``task``'s retry ladder above ``rung``, the rung of its
-        current endpoint, to the first converged endpoint that no root in
-        ``group`` has claimed; returns that (endpoint, rung) or None."""
-        for rung, res in task.rungs(rung + 1):
+        self, task: EdgeTask, record: EdgeRecord, group: list[np.ndarray]
+    ) -> np.ndarray | None:
+        """Continue ``task``'s retry ladder above ``record.rung``, the rung of
+        its current endpoint, to the first converged endpoint that no root in
+        ``group`` has claimed; returns that endpoint or None.  Every rung
+        tracked adds its steps to ``record``, and the rung kept becomes
+        ``record.rung``."""
+        for rung, res in task.rungs(record.rung + 1):
+            record.steps_used += res.steps_used
             if res.status == "converged" and all(
                 _coeff_distance(res.endpoint, g) > SAME_ROOT_TOL for g in group
             ):
-                return res.endpoint, rung
+                record.rung = rung
+                return res.endpoint
         return None
 
 
@@ -835,7 +832,6 @@ def _run_tree(
 
 def solve_pieri(
     problem: ProblemInput,
-    schedule: str = "dynamic",
     workers: int = 1,
     options: TrackerOptions | None = None,
 ) -> SolveResult:
@@ -843,16 +839,12 @@ def solve_pieri(
 
     Solutions come back canonically sorted, so equal seeds give identical
     results for any worker count.  Edge jobs depend on their parent's
-    coefficients, hence only dynamic dispatch is possible.  A walk that
-    loses paths (unresolved endpoint collisions included) is retried
-    under rotated condition orderings; the target system is the same, so
-    the first loss-free result wins, else the one that lost fewest.
+    coefficients, so the job kind fixes the schedule: the tree is walked
+    by dynamic dispatch.  A walk that loses paths (unresolved endpoint
+    collisions included) is retried under rotated condition orderings;
+    the target system is the same, so the first loss-free result wins,
+    else the one that lost fewest.
     """
-    if schedule != "dynamic":
-        raise ValueError(
-            "pieri solves require dynamic dispatch: edge jobs depend on "
-            "their parent's result"
-        )
     options = options or TrackerOptions()
     best: SolveResult | None = None
     for roll in range(min(MAX_CONDITION_ORDERS, problem.n)):

@@ -9,6 +9,11 @@ transport could replace the queues without touching job logic.
 
 Payloads are self-contained: anything with a ``run()`` method.  A payload
 exception becomes a ResultMessage with status "error"; there is no retry.
+
+The job kind fixes the schedule.  "pieri-edge" jobs need their parent's
+endpoint, so only ``run_dynamic`` against a dependency-aware source can
+serve them; "independent-path" jobs run under either ``run_static``
+(round-robin pre-partition) or ``run_dynamic`` with identical results.
 """
 from __future__ import annotations
 
@@ -213,20 +218,3 @@ def _check_unique_ids(jobs: list[JobMessage]) -> None:
     if len(ids) != len(set(ids)):
         raise ValueError("job ids must be unique")
 
-
-def schedule_report(
-    results: Iterable[ResultMessage], workers: int | None = None
-) -> dict[str, Any]:
-    """Per-worker job counts and busy time, plus the job-span wall time."""
-    results = list(results)
-    per_worker: dict[int, dict[str, Any]] = {}
-    if workers is not None:
-        per_worker = {w: {"jobs": 0, "busy": 0.0} for w in range(workers)}
-    for r in results:
-        row = per_worker.setdefault(r.worker_id, {"jobs": 0, "busy": 0.0})
-        row["jobs"] += 1
-        row["busy"] += r.duration
-    wall = 0.0
-    if results:
-        wall = max(r.finished for r in results) - min(r.started for r in results)
-    return {"total_jobs": len(results), "wall": wall, "workers": per_worker}

@@ -202,7 +202,6 @@ def track_all(
     schedule: str = "static",
     workers: int = 1,
     opts: TrackerOptions | None = None,
-    event_log: list[dict] | None = None,
 ) -> list[PathResult]:
     """Track every start point, returning results in start order.
 
@@ -215,12 +214,10 @@ def track_all(
                    TrackTask(h, np.asarray(s, dtype=np.complex128), opts))
         for i, s in enumerate(starts)
     ]
-    if not jobs:
-        return []
     if schedule == "static":
-        results = run_static(jobs, workers, event_log)
+        results = run_static(jobs, workers)
     elif schedule == "dynamic":
-        results = run_dynamic(ListSource(jobs), workers, event_log)
+        results = run_dynamic(ListSource(jobs), workers)
     else:
         raise ValueError(f"unknown schedule {schedule!r}")
     results = sorted(results, key=lambda r: r.job_id)

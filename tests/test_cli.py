@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 
-from pierihom.cli import bench_durations, main, run_bench
+from pierihom.cli import main
 from pierihom.polysys import PolySystem, Term, system_to_json
 
 
@@ -70,11 +70,31 @@ def test_solve_writes_solution_file(tmp_path, capsys):
 
 
 def test_solve_static_schedule_rejected(tmp_path, capsys):
+    # edge jobs fix the schedule, so solve takes no --schedule at all
     code = main(["solve", "-m", "2", "-p", "2", "--seed", "1",
                  "--schedule", "static",
                  "--output", str(tmp_path / "s.json")])
     assert code == 2
-    assert "dynamic" in capsys.readouterr().err
+    assert "unrecognized arguments: --schedule static" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_non_positive_worker_count_exit_2(tmp_path, capsys):
+    sys_path = tmp_path / "sys.json"
+    write_system(sys_path, [[Term(1 + 0j, (2,)), Term(-1 + 0j, (0,))]], nvars=1)
+    for argv in (["solve", "-m", "2", "-p", "2", "--seed", "1"],
+                 ["track", "--input", str(sys_path)]):
+        out = tmp_path / "out.json"
+        assert main(argv + ["--workers", "0", "--output", str(out)]) == 2
+        assert "worker count must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_help_lists_count_solve_track(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert "{count,solve,track}" in out
+    assert main(["bench"]) == 2
 
 
 def test_solve_worker_count_gives_identical_files(tmp_path, capsys):
@@ -182,47 +202,6 @@ def test_track_non_square_exit_2(tmp_path, capsys):
     write_system(rect, [[Term(1 + 0j, (1, 0))]], nvars=2)
     assert main(["track", "--input", str(rect)]) == 2
     assert "square" in capsys.readouterr().err
-
-
-def test_bench_durations_profiles():
-    uniform = bench_durations("uniform", scale=0.5)
-    assert len(uniform) == 16 and set(uniform) == {0.5}
-    heavy = bench_durations("heavytail", scale=0.5)
-    assert len(heavy) == 16
-    assert heavy[1] == 5.0 and set(heavy) == {0.5, 5.0}
-    try:
-        bench_durations("gaussian")
-        assert False, "unknown profile must raise"
-    except ValueError:
-        pass
-
-
-def test_run_bench_reports_both_schedules():
-    bench = run_bench("heavytail", workers=4, scale=0.002)
-    for name in ("static", "dynamic"):
-        report = bench[name]
-        assert report["total_jobs"] == 16
-        assert sum(row["jobs"] for row in report["workers"].values()) == 16
-        assert report["wall"] > 0
-    # round-robin stacks the 10x job with three 1x jobs on one worker
-    static_jobs = [bench["static"]["workers"][w]["jobs"] for w in range(4)]
-    assert static_jobs == [4, 4, 4, 4]
-
-
-def test_bench_single_worker_similar_walls(capsys):
-    assert main(["bench", "uniform", "--workers", "1"]) == 0
-    out = capsys.readouterr().out
-    assert "profile uniform, workers 1" in out
-    assert out.count("wall") == 2  # one static row, one dynamic row
-
-
-def test_bench_prints_all_profiles_by_default(capsys):
-    assert main(["bench", "--workers", "1", "2"]) == 0
-    out = capsys.readouterr().out
-    for profile in ("uniform", "heavytail"):
-        for workers in (1, 2):
-            assert f"profile {profile}, workers {workers}" in out
-    assert "improvement static/dynamic:" in out
 
 
 def test_solve_bad_tol_exit_2(tmp_path, capsys):

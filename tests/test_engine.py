@@ -7,6 +7,7 @@ for the very first edge, and poset path counting for all bookkeeping.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import json
 
@@ -17,7 +18,6 @@ from pierihom import engine
 from pierihom.engine import (
     RETRY_LADDER,
     EdgeHomotopy,
-    EdgeOutcome,
     EdgeTask,
     MapEvaluator,
     ProblemInput,
@@ -499,8 +499,10 @@ def test_edge_task_flags_start_violation() -> None:
 
 
 def test_solve_rejects_static_schedule() -> None:
+    # edge jobs fix the schedule, so solve_pieri takes no schedule at all
+    assert "schedule" not in inspect.signature(solve_pieri).parameters
     problem = ProblemInput.generate(2, 2, 0, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         solve_pieri(problem, schedule="static")
 
 
@@ -623,22 +625,19 @@ def test_unresolved_collision_becomes_loss(monkeypatch) -> None:
     place = source._place_endpoint
     seen = []
 
-    def colliding_place(group, tasks, edge_id, dest, outcome):
+    def colliding_place(group, tasks, record, free):
         if not group or seen:
-            return place(group, tasks, edge_id, dest, outcome)
-        before = [(row[0], row[1].copy(), row[2]) for row in group]
-        dup = EdgeOutcome(
-            "converged", group[0][1].copy(), outcome.residual, outcome.steps_used,
-            outcome.start_residual, outcome.start_min_pivot, outcome.start_scale,
-        )
-        placed = place(group, tasks, edge_id, dest, dup)
+            return place(group, tasks, record, free)
+        before = [(row[0], row[1].copy(), row[0].rung) for row in group]
+        placed = place(group, tasks, record, group[0][1].copy())
         assert placed is False
         assert len(group) == len(before)
-        for row, (eid, free, arc) in zip(group, before):
-            assert row[0] == eid and row[2] == arc
-            assert np.array_equal(row[1], free)
+        for row, (rec, endpoint, rung) in zip(group, before):
+            assert row[0] is rec and rec.rung == rung
+            assert np.array_equal(row[1], endpoint)
+        dest = LocalizationPattern(2, 2, 0, record.pattern)
         paths = count_paths(dest, target_pattern(2, 2, 0))
-        seen.append(LossRecord(edge_id, dest.bottom, "collision", paths))
+        seen.append(LossRecord(record.edge_id, record.pattern, "collision", paths))
         return placed
 
     monkeypatch.setattr(source, "_place_endpoint", colliding_place)
@@ -679,11 +678,11 @@ def test_collision_retracks_recover_distinct_roots(monkeypatch) -> None:
         worker_rung[task] = outcome.arc_used
         return outcome
 
-    def recording_retry(task, rung, group):
+    def recording_retry(task, record, group):
         retracks.append((task, []))
         inside.append(True)
         try:
-            return real_retry(task, rung, group)
+            return real_retry(task, record, group)
         finally:
             inside.pop()
 
@@ -706,6 +705,40 @@ def test_collision_retracks_recover_distinct_roots(monkeypatch) -> None:
     assert len(sols) == pieri_root_count(2, 2, 1) == 8
     for a, b in itertools.combinations(sols, 2):
         assert _coeff_distance(a.coefficients, b.coefficients) > SAME_ROOT_TOL
+
+
+def test_retrack_steps_and_rungs_land_on_their_edges(monkeypatch) -> None:
+    # (2,2,1) seed 12 makes the master retrack edges: every tracked step of
+    # the walk, the master's included, belongs to some edge's record, and a
+    # retracked edge's record names the higher rung it ended on
+    from pierihom.engine import PieriTreeSource
+    from pierihom.scheduler import run_dynamic
+
+    problem = ProblemInput.generate(2, 2, 1, 12)
+    source = PieriTreeSource(problem, TrackerOptions())
+    tracked = []
+    worker_rung = {}
+    real_track, real_on_result = engine.track_path, PieriTreeSource.on_result
+
+    def counting_track(hom, x0, opts):
+        res = real_track(hom, x0, opts)
+        tracked.append(res.steps_used)
+        return res
+
+    def recording_on_result(self, result):
+        worker_rung[result.job_id] = result.payload.arc_used
+        return real_on_result(self, result)
+
+    monkeypatch.setattr(engine, "track_path", counting_track)
+    monkeypatch.setattr(PieriTreeSource, "on_result", recording_on_result)
+    run_dynamic(source, workers=1)
+    assert source.retracked_edges
+    assert sum(rec.steps_used for rec in source.edge_records) == sum(tracked)
+    for rec in source.edge_records:
+        if rec.edge_id in source.retracked_edges:
+            assert rec.rung > worker_rung[rec.edge_id]
+        else:
+            assert rec.rung == worker_rung[rec.edge_id]
 
 
 def test_condition_rotation_recovers_lost_walk(monkeypatch) -> None:

@@ -5,7 +5,6 @@ can be exercised independently of any continuation code.
 """
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -17,7 +16,6 @@ from pierihom.scheduler import (
     ResultMessage,
     run_dynamic,
     run_static,
-    schedule_report,
 )
 
 
@@ -27,15 +25,6 @@ class Echo:
 
     def run(self) -> int:
         return self.value
-
-
-@dataclass(frozen=True)
-class Sleep:
-    seconds: float
-
-    def run(self) -> float:
-        time.sleep(self.seconds)
-        return self.seconds
 
 
 @dataclass(frozen=True)
@@ -237,27 +226,3 @@ def test_workers_must_be_positive() -> None:
     with pytest.raises(ValueError):
         run_dynamic(ListSource([]), workers=-1)
 
-
-def test_schedule_report_single_worker_busy_close_to_wall() -> None:
-    jobs = [JobMessage(i, "independent-path", Sleep(0.01)) for i in range(4)]
-    results = run_static(jobs, workers=1)
-    report = schedule_report(results)
-    assert report["total_jobs"] == 4
-    assert set(report["workers"]) == {0}
-    busy = report["workers"][0]["busy"]
-    assert busy == pytest.approx(0.04, abs=0.02)
-    assert busy <= report["wall"] + 1e-6
-
-
-def test_schedule_report_spfills_zero_job_workers_when_asked() -> None:
-    results = run_static([JobMessage(0, "independent-path", Echo(1))], workers=1)
-    report = schedule_report(results, workers=3)
-    assert set(report["workers"]) == {0, 1, 2}
-    assert report["workers"][2]["jobs"] == 0
-
-
-def test_schedule_report_empty() -> None:
-    report = schedule_report([])
-    assert report["total_jobs"] == 0
-    assert report["wall"] == 0.0
-    assert report["workers"] == {}

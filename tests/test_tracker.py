@@ -220,8 +220,10 @@ def test_track_all_order_and_worker_invariance() -> None:
 
 
 def test_track_all_rejects_unknown_schedule() -> None:
-    with pytest.raises(ValueError):
-        track_all(closed_form_homotopy(), [[1.0]], schedule="greedy")
+    # argument errors surface even when there is nothing to track
+    for starts in ([[1.0]], []):
+        with pytest.raises(ValueError):
+            track_all(closed_form_homotopy(), starts, schedule="greedy")
 
 
 def test_path_result_shape() -> None:
