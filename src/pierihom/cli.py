@@ -66,6 +66,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"min separation: {report.min_distance:.3e}")
     levels = " ".join(f"{d}:{c}" for d, c in sorted(result.level_counts.items()))
     print(f"jobs per level: {levels}")
+    print(f"tree walks: {result.walks}")
     print(f"wall time: {elapsed:.2f}s")
     out = args.output or f"solutions_m{args.m}_p{args.p}_q{args.q}_seed{args.seed}.json"
     Path(out).write_text(solutions_to_json(result, problem))

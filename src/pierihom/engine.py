@@ -40,10 +40,10 @@ SAME_ROOT_TOL = 1e-4
 # target system never changes, but a rotation replaces every intermediate
 # system, stepping around data that is degenerate for one ordering
 MAX_CONDITION_ORDERS = 4
-# how one edge is re-tracked, in order: the straight path, then fixed detour
-# arcs through the complex t-plane around a near-singular fiber at real t,
-# then the same five with the step size cut 5x and 25x; rungs are
-# (step shrink, arc), and the worker and the master walk the same ladder
+# how the worker tracks one edge, in order: the straight path, then fixed
+# detour arcs through the complex t-plane around a near-singular fiber at
+# real t, then the same five with the step size cut 5x and 25x; rungs are
+# (step shrink, arc), and the first converged rung is kept
 RETRY_LADDER = tuple(
     (shrink, gamma)
     for shrink in (1.0, 5.0, 25.0)
@@ -462,7 +462,8 @@ class EdgeTask:
     """Self-contained worker payload: track one edge of the tree.
 
     The edge is tracked up RETRY_LADDER until a rung converges; the ladder
-    is fixed, so outcomes stay deterministic for every worker count.
+    is fixed, so outcomes stay deterministic for every worker count.  This
+    is the only place an edge is tracked.
     """
 
     problem: ProblemInput
@@ -472,37 +473,20 @@ class EdgeTask:
     source_free: np.ndarray
     options: TrackerOptions
 
-    @functools.cached_property
-    def start(self) -> tuple[EdgeHomotopy, np.ndarray]:
-        """The edge's homotopy, imposing condition k on the deeper pattern,
-        and the source node lifted into it as the start point."""
+    def run(self) -> EdgeOutcome:
         prob = self.problem
         source = LocalizationPattern(prob.m, prob.p, prob.q, self.source_bottom)
         dest = LocalizationPattern(prob.m, prob.p, prob.q, self.dest_bottom)
         k = self.cond_index
         if k != degrees_of_freedom(dest):
             raise ValueError("condition index must equal the deeper pattern's depth")
+        # condition k is imposed on the deeper pattern, starting from the
+        # source node lifted into its unknowns
         hom = EdgeHomotopy(
             dest, prob.points[: k - 1], prob.planes[: k - 1],
             prob.points[k - 1], prob.planes[k - 1], special_plane(dest),
         )
-        return hom, embed_start(source, self.source_free, dest)
-
-    def rungs(self, first: int = 0):
-        """Track the edge on each ladder rung from ``first`` up, lazily,
-        yielding (rung, PathResult)."""
-        hom, x0 = self.start
-        for rung in range(first, len(RETRY_LADDER)):
-            shrink, gamma = RETRY_LADDER[rung]
-            arc = hom if gamma == 1.0 else GammaArc(hom, gamma)
-            opts = self.options
-            if shrink != 1.0:
-                h = max(opts.h_max / shrink, opts.h_min)
-                opts = replace(opts, h_init=h, h_max=h)
-            yield rung, track_path(arc, x0, opts)
-
-    def run(self) -> EdgeOutcome:
-        hom, x0 = self.start
+        x0 = embed_start(source, self.source_free, dest)
         start_residual = float(np.linalg.norm(hom.eval(x0, 0.0)))
         f = lu_decompose(hom.jacobian_x(x0, 0.0))
         if start_residual > self.options.residual_tol:
@@ -511,7 +495,13 @@ class EdgeTask:
                 start_residual, f.min_pivot, f.scale,
             )
         steps_total = 0
-        for rung, res in self.rungs():
+        for rung, (shrink, gamma) in enumerate(RETRY_LADDER):
+            arc = hom if gamma == 1.0 else GammaArc(hom, gamma)
+            opts = self.options
+            if shrink != 1.0:
+                h = max(opts.h_max / shrink, opts.h_min)
+                opts = replace(opts, h_init=h, h_max=h)
+            res = track_path(arc, x0, opts)
             steps_total += res.steps_used
             if res.status == "converged":
                 break
@@ -561,8 +551,9 @@ class LossRecord:
 class EdgeRecord:
     """Per-edge diagnostics kept for reporting and contract checks.
 
-    ``steps_used`` counts every tracker step spent on the edge: the
-    worker's and those of the master's collision retracks.
+    ``steps_used`` counts every tracker step the worker spent on the edge,
+    over all the rungs it tried, and ``rung`` is the last rung it tracked:
+    the one that converged, if any.
     """
 
     edge_id: str
@@ -573,7 +564,7 @@ class EdgeRecord:
     start_residual: float
     start_min_pivot: float
     start_scale: float
-    rung: int = 0  # the RETRY_LADDER rung of the endpoint kept
+    rung: int = 0  # the worker's RETRY_LADDER rung
 
 
 @dataclass
@@ -582,6 +573,7 @@ class SolveResult:
     losses: list[LossRecord]
     level_counts: dict[int, int]
     edge_records: list[EdgeRecord]
+    walks: int = 1  # tree walks the solve made
 
     @property
     def lost_paths(self) -> int:
@@ -596,9 +588,9 @@ class PieriTreeSource:
     whole depth has reported, and failed edges become loss records
     covering their subtree.  Paths arriving at one pattern must land on
     distinct roots of one condition system, so converged endpoints are
-    deduplicated per pattern before their subtrees spawn; an endpoint that
-    collides with an already accepted sibling is re-tracked further up
-    its retry ladder, and becomes a loss if that fails.  Levels are
+    deduplicated per pattern before their subtrees spawn: an endpoint on a
+    root already claimed by an earlier edge becomes a "collision" loss.
+    The master only books; every path is tracked by a worker.  Levels are
     processed in edge-id order, which keeps everything deterministic for
     any worker count.
     """
@@ -609,7 +601,6 @@ class PieriTreeSource:
         self._trivial = trivial_pattern(problem.m, problem.p, problem.q)
         self._target = target_pattern(problem.m, problem.p, problem.q)
         self._store: dict[str, int] = {}
-        self._level_tasks: dict[str, EdgeTask] = {}
         self._level_results: list[tuple[str, ResultMessage]] = []
         self._level_outstanding = 0
         self.solutions: list[SolutionMap] = []
@@ -617,7 +608,6 @@ class PieriTreeSource:
         self.level_counts: dict[int, int] = {}
         self.edge_records: list[EdgeRecord] = []
         self.fatal: list[str] = []
-        self.retracked_edges: list[str] = []
 
     @property
     def store_size(self) -> int:
@@ -646,7 +636,6 @@ class PieriTreeSource:
                 self._problem, pattern.bottom, inc.bottom, depth + 1, free,
                 self._options,
             )
-            self._level_tasks[edge_id] = task
             jobs.append(JobMessage(edge_id, "pieri-edge", task))
         if jobs:
             self._store[path] = len(jobs)
@@ -674,11 +663,9 @@ class PieriTreeSource:
 
     def _process_level(self) -> list[JobMessage]:
         entries = sorted(self._level_results, key=lambda e: e[0])
-        tasks = self._level_tasks
         self._level_results = []
-        self._level_tasks = {}
-        # per destination pattern: mutable [EdgeRecord, endpoint] rows
-        accepted: dict[tuple[int, ...], list[list]] = {}
+        # per destination pattern: the (EdgeRecord, endpoint) pairs accepted
+        accepted: dict[tuple[int, ...], list[tuple[EdgeRecord, np.ndarray]]] = {}
         for edge_id, result in entries:
             dest = self._pattern_at(edge_id)
             depth = degrees_of_freedom(dest)
@@ -692,10 +679,16 @@ class PieriTreeSource:
                     outcome.steps_used, outcome.start_residual,
                     outcome.start_min_pivot, outcome.start_scale, outcome.arc_used,
                 )
-                if outcome.status == "converged" and not self._place_endpoint(
-                    accepted.setdefault(dest.bottom, []), tasks, record, outcome.free,
-                ):
-                    record.status = "collision"
+                if outcome.status == "converged":
+                    group = accepted.setdefault(dest.bottom, [])
+                    if any(
+                        _coeff_distance(outcome.free, claimed) <= SAME_ROOT_TOL
+                        for _, claimed in group
+                    ):
+                        # the earlier edge in edge-id order keeps the root
+                        record.status = "collision"
+                    else:
+                        group.append((record, outcome.free))
             self.edge_records.append(record)
             if record.status == "start_violation":
                 self.fatal.append(
@@ -729,60 +722,6 @@ class PieriTreeSource:
                 next_jobs.extend(self._edge_jobs(edge_id, dest, free))
         self._level_outstanding = len(next_jobs)
         return next_jobs
-
-    def _place_endpoint(
-        self,
-        group: list[list],
-        tasks: dict[str, EdgeTask],
-        record: EdgeRecord,
-        free: np.ndarray,
-    ) -> bool:
-        """Add one converged endpoint to its pattern group, collision-free.
-
-        If the endpoint sits on an already claimed root, first continue
-        this edge's retry ladder; if nothing vacant is found, the claim
-        may be the jumped one, so continue the colliding sibling's ladder
-        instead and let this endpoint keep the spot.  If neither moves, the
-        earlier claim stays and False is returned: the caller records this
-        edge's subtree as a "collision" loss.
-        """
-        colliding = [
-            row for row in group if _coeff_distance(free, row[1]) <= SAME_ROOT_TOL
-        ]
-        if colliding:
-            moved = self._retry_collision(
-                tasks[record.edge_id], record, [r[1] for r in group]
-            )
-            if moved is not None:
-                free = moved
-                self.retracked_edges.append(record.edge_id)
-            else:
-                sib = colliding[0]
-                others = [r[1] for r in group if r is not sib] + [free]
-                moved = self._retry_collision(tasks[sib[0].edge_id], sib[0], others)
-                if moved is None:
-                    return False
-                sib[1] = moved
-                self.retracked_edges.append(sib[0].edge_id)
-        group.append([record, free])
-        return True
-
-    def _retry_collision(
-        self, task: EdgeTask, record: EdgeRecord, group: list[np.ndarray]
-    ) -> np.ndarray | None:
-        """Continue ``task``'s retry ladder above ``record.rung``, the rung of
-        its current endpoint, to the first converged endpoint that no root in
-        ``group`` has claimed; returns that endpoint or None.  Every rung
-        tracked adds its steps to ``record``, and the rung kept becomes
-        ``record.rung``."""
-        for rung, res in task.rungs(record.rung + 1):
-            record.steps_used += res.steps_used
-            if res.status == "converged" and all(
-                _coeff_distance(res.endpoint, g) > SAME_ROOT_TOL for g in group
-            ):
-                record.rung = rung
-                return res.endpoint
-        return None
 
 
 def _canonical_key(sol: SolutionMap) -> tuple:
@@ -840,13 +779,18 @@ def solve_pieri(
     Solutions come back canonically sorted, so equal seeds give identical
     results for any worker count.  Edge jobs depend on their parent's
     coefficients, so the job kind fixes the schedule: the tree is walked
-    by dynamic dispatch.  A walk that loses paths (unresolved endpoint
-    collisions included) is retried under rotated condition orderings;
-    the target system is the same, so the first loss-free result wins,
-    else the one that lost fewest.
+    by dynamic dispatch.  A walk that loses paths (endpoint collisions
+    included) is retried under rotated condition orderings.  The target
+    system is the same, so the first loss-free walk wins.  Failing that,
+    the laws of the lossy walks are pooled, distinct up to SAME_ROOT_TOL,
+    and the pool wins once it holds exactly the root count: the stopping
+    rule of monodromy solving (Duff et al., IMA J. Numer. Anal. 2019).
+    Else the walk that lost fewest is returned.
     """
     options = options or TrackerOptions()
+    root = pieri_root_count(problem.m, problem.p, problem.q)
     best: SolveResult | None = None
+    pool: list[SolutionMap] = []
     for roll in range(min(MAX_CONDITION_ORDERS, problem.n)):
         attempt = problem
         if roll:
@@ -856,10 +800,23 @@ def solve_pieri(
                 np.roll(problem.points, -roll),
             )
         result = _run_tree(attempt, problem, workers, options)
+        result.walks = roll + 1
         if result.lost_paths == 0:
             return result
+        for sol in result.solutions:
+            if all(
+                _coeff_distance(sol.coefficients, kept.coefficients) > SAME_ROOT_TOL
+                for kept in pool
+            ):
+                pool.append(sol)
+        if len(pool) == root:
+            return SolveResult(
+                sorted(pool, key=_canonical_key), [], result.level_counts,
+                result.edge_records, roll + 1,
+            )
         if best is None or result.lost_paths < best.lost_paths:
             best = result
+    best.walks = roll + 1
     return best
 
 

@@ -143,6 +143,8 @@ def total_degree_start(
     for i in range(len(f.polys)):
         if f.is_zero(i):
             raise ValueError(f"polynomial {i} is identically zero")
+        if degrees[i] == 0:
+            raise ValueError(f"polynomial {i} is a nonzero constant: it has no root")
     constants = [np.exp(2j * np.pi * rng.uniform()) for _ in degrees]
     polys = []
     for i, (d, c) in enumerate(zip(degrees, constants)):

@@ -66,7 +66,7 @@ def test_solve_writes_solution_file(tmp_path, capsys):
     assert "solutions: 2" in printed
     assert "max residual:" in printed
     assert "jobs per level:" in printed
-    assert "wall time:" in printed
+    assert "tree walks: 1\nwall time:" in printed
 
 
 def test_solve_static_schedule_rejected(tmp_path, capsys):
@@ -195,6 +195,17 @@ def test_track_empty_system_exit_2(tmp_path, capsys):
     empty.write_text(json.dumps({"nvars": 2, "polys": []}))
     assert main(["track", "--input", str(empty)]) == 2
     assert "no polynomials" in capsys.readouterr().err
+
+
+def test_track_constant_polynomial_exit_2(tmp_path, capsys):
+    # x^2 - 4 = 0, 3 = 0 has no root: a usage error, not lost paths
+    const = tmp_path / "const.json"
+    write_system(const, [[Term(1 + 0j, (2, 0)), Term(-4 + 0j, (0, 0))],
+                         [Term(3 + 0j, (0, 0))]], nvars=2)
+    out = tmp_path / "ends.json"
+    assert main(["track", "--input", str(const), "--output", str(out)]) == 2
+    assert "polynomial 1 is a nonzero constant" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_track_non_square_exit_2(tmp_path, capsys):

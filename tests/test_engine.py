@@ -10,6 +10,8 @@ import functools
 import inspect
 import itertools
 import json
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -613,111 +615,103 @@ def test_node_store_is_released() -> None:
 
 
 def test_unresolved_collision_becomes_loss(monkeypatch) -> None:
-    # force the second endpoint arriving at any pattern onto the first one's
-    # root and make every retrack fail: the later edge must become a
-    # "collision" loss while the earlier claim keeps its spot untouched
+    # force the second endpoint arriving at some pattern onto the first
+    # one's root: the later edge in edge-id order must become a "collision"
+    # loss while the earlier claim keeps its spot and its subtree
     from pierihom.engine import LossRecord, PieriTreeSource
     from pierihom.scheduler import run_dynamic
 
     problem = ProblemInput.generate(2, 2, 0, 1)
     source = PieriTreeSource(problem, TrackerOptions())
-    monkeypatch.setattr(source, "_retry_collision", lambda *args: None)
-    place = source._place_endpoint
-    seen = []
+    first = {}
+    forced = []
+    starts = []
+    real_run = EdgeTask.run
 
-    def colliding_place(group, tasks, record, free):
-        if not group or seen:
-            return place(group, tasks, record, free)
-        before = [(row[0], row[1].copy(), row[0].rung) for row in group]
-        placed = place(group, tasks, record, group[0][1].copy())
-        assert placed is False
-        assert len(group) == len(before)
-        for row, (rec, endpoint, rung) in zip(group, before):
-            assert row[0] is rec and rec.rung == rung
-            assert np.array_equal(row[1], endpoint)
-        dest = LocalizationPattern(2, 2, 0, record.pattern)
-        paths = count_paths(dest, target_pattern(2, 2, 0))
-        seen.append(LossRecord(record.edge_id, record.pattern, "collision", paths))
-        return placed
+    def colliding_run(task):
+        starts.append((task.source_bottom, task.source_free))
+        outcome = real_run(task)
+        if outcome.status != "converged":
+            return outcome
+        dest = task.dest_bottom
+        if dest not in first:
+            first[dest] = outcome.free
+        elif not forced:
+            forced.append(dest)
+            outcome = replace(outcome, free=first[dest].copy())
+        return outcome
 
-    monkeypatch.setattr(source, "_place_endpoint", colliding_place)
+    monkeypatch.setattr(EdgeTask, "run", colliding_run)
     run_dynamic(source, workers=1)
-    assert len(seen) == 1
-    assert source.losses == seen
-    # the collided edge's record reports the loss, not the tracker's status
-    statuses = {rec.edge_id: rec.status for rec in source.edge_records}
-    assert statuses[seen[0].edge_id] == "collision"
-    assert sum(s == "collision" for s in statuses.values()) == 1
+    assert len(forced) == 1
+    pattern = forced[0]
+    collided = [rec for rec in source.edge_records if rec.status == "collision"]
+    assert len(collided) == 1 and collided[0].pattern == pattern
+    dest = LocalizationPattern(2, 2, 0, pattern)
+    paths = count_paths(dest, target_pattern(2, 2, 0))
+    assert source.losses == [
+        LossRecord(collided[0].edge_id, pattern, "collision", paths)
+    ]
+    # the earlier edge keeps the claimed root and goes on from it
+    kept = [
+        rec for rec in source.edge_records
+        if rec.pattern == pattern and rec.status == "converged"
+    ]
+    assert len(kept) == 1 and kept[0].edge_id < collided[0].edge_id
+    root = first[pattern]
+    if degrees_of_freedom(dest) == problem.n:
+        kept_roots = [free_coefficients(dest, s.coefficients) for s in source.solutions]
+    else:
+        kept_roots = [free for bottom, free in starts if bottom == pattern]
+    assert kept_roots and any(np.array_equal(free, root) for free in kept_roots)
     lost = sum(loss.paths_lost for loss in source.losses)
     assert len(source.solutions) + lost == pieri_root_count(2, 2, 0)
 
 
-def test_collision_retracks_recover_distinct_roots(monkeypatch) -> None:
-    # (2,2,1) seed 12 lands endpoints on claimed roots; the master must
-    # re-track them onto vacant roots rather than lose or duplicate laws
-    from pierihom.engine import SAME_ROOT_TOL, PieriTreeSource, _coeff_distance
-    from pierihom.scheduler import run_dynamic
+def test_every_track_runs_on_a_worker(monkeypatch) -> None:
+    # (2,2,1) seed 12 lands endpoints on claimed roots; the solve must still
+    # return 8 distinct laws, and the master must never track a path itself
+    from pierihom.engine import SAME_ROOT_TOL, _coeff_distance
 
     problem = ProblemInput.generate(2, 2, 1, 12)
-    opts = TrackerOptions()
-    source = PieriTreeSource(problem, opts)
-    # the rung each task's worker converged on, and every rung the master
-    # tracks inside a retrack, mapped back from the arc and step size
-    worker_rung = {}
-    retracks = []
-    inside = []
-    rung_of = {
-        (gamma, max(opts.h_max / shrink, opts.h_min)): i
-        for i, (shrink, gamma) in enumerate(RETRY_LADDER)
-    }
+    inside = threading.local()
+    outside = []
     real_run, real_track = EdgeTask.run, engine.track_path
-    real_retry = source._retry_collision
 
-    def recording_run(task):
-        outcome = real_run(task)
-        worker_rung[task] = outcome.arc_used
-        return outcome
-
-    def recording_retry(task, record, group):
-        retracks.append((task, []))
-        inside.append(True)
+    def marked_run(task):
+        inside.active = True
         try:
-            return real_retry(task, record, group)
+            return real_run(task)
         finally:
-            inside.pop()
+            inside.active = False
 
-    def recording_track(hom, x0, path_opts):
-        if inside:
-            key = (getattr(hom, "gamma", 1.0), path_opts.h_max)
-            retracks[-1][1].append(rung_of[key])
-        return real_track(hom, x0, path_opts)
+    def checked_track(hom, x0, opts):
+        if not getattr(inside, "active", False):
+            outside.append(threading.current_thread().name)
+        return real_track(hom, x0, opts)
 
-    monkeypatch.setattr(EdgeTask, "run", recording_run)
-    monkeypatch.setattr(engine, "track_path", recording_track)
-    monkeypatch.setattr(source, "_retry_collision", recording_retry)
-    run_dynamic(source, workers=1)
-    assert source.retracked_edges
-    assert any(rungs for _, rungs in retracks)
-    for task, rungs in retracks:
-        assert all(rung > worker_rung[task] for rung in rungs)
-    assert source.losses == []
-    sols = source.solutions
+    monkeypatch.setattr(EdgeTask, "run", marked_run)
+    monkeypatch.setattr(engine, "track_path", checked_track)
+    result = solve_pieri(problem)
+    assert outside == []
+    assert result.losses == []
+    sols = result.solutions
     assert len(sols) == pieri_root_count(2, 2, 1) == 8
     for a, b in itertools.combinations(sols, 2):
         assert _coeff_distance(a.coefficients, b.coefficients) > SAME_ROOT_TOL
 
 
 def test_retrack_steps_and_rungs_land_on_their_edges(monkeypatch) -> None:
-    # (2,2,1) seed 12 makes the master retrack edges: every tracked step of
-    # the walk, the master's included, belongs to some edge's record, and a
-    # retracked edge's record names the higher rung it ended on
+    # (2,2,1) seed 12 has endpoint collisions: every edge's record carries
+    # exactly its worker's steps and rung, and together they account for
+    # every step tracked in the walk
     from pierihom.engine import PieriTreeSource
     from pierihom.scheduler import run_dynamic
 
     problem = ProblemInput.generate(2, 2, 1, 12)
     source = PieriTreeSource(problem, TrackerOptions())
     tracked = []
-    worker_rung = {}
+    outcomes = {}
     real_track, real_on_result = engine.track_path, PieriTreeSource.on_result
 
     def counting_track(hom, x0, opts):
@@ -726,19 +720,61 @@ def test_retrack_steps_and_rungs_land_on_their_edges(monkeypatch) -> None:
         return res
 
     def recording_on_result(self, result):
-        worker_rung[result.job_id] = result.payload.arc_used
+        outcomes[result.job_id] = result.payload
         return real_on_result(self, result)
 
     monkeypatch.setattr(engine, "track_path", counting_track)
     monkeypatch.setattr(PieriTreeSource, "on_result", recording_on_result)
     run_dynamic(source, workers=1)
-    assert source.retracked_edges
-    assert sum(rec.steps_used for rec in source.edge_records) == sum(tracked)
+    assert any(rec.status == "collision" for rec in source.edge_records)
     for rec in source.edge_records:
-        if rec.edge_id in source.retracked_edges:
-            assert rec.rung > worker_rung[rec.edge_id]
-        else:
-            assert rec.rung == worker_rung[rec.edge_id]
+        assert rec.steps_used == outcomes[rec.edge_id].steps_used
+        assert rec.rung == outcomes[rec.edge_id].arc_used
+    assert sum(rec.steps_used for rec in source.edge_records) == sum(tracked)
+
+
+def test_rotated_walks_pool_their_laws(monkeypatch) -> None:
+    # (2,2,1) seed 11 loses paths under the given order and under the first
+    # rotation; the laws of the two walks together make all 8
+    from pierihom.engine import SAME_ROOT_TOL, _coeff_distance
+
+    problem = ProblemInput.generate(2, 2, 1, 11)
+    real_run_tree = engine._run_tree
+    walks = []
+
+    def recording_run_tree(attempt, original, workers, options):
+        result = real_run_tree(attempt, original, workers, options)
+        walks.append(result)
+        return result
+
+    monkeypatch.setattr(engine, "_run_tree", recording_run_tree)
+    result = solve_pieri(problem)
+    assert len(walks) == 2 and result.walks == 2
+    assert all(walk.lost_paths > 0 for walk in walks)
+    assert len(result.solutions) == pieri_root_count(2, 2, 1) == 8
+    assert result.losses == []
+    report = verify(result.solutions, problem)
+    assert report.max_residual <= 1e-8
+    assert report.min_distance > 1e-4
+    found = [sol for walk in walks for sol in walk.solutions]
+    for sol in result.solutions:
+        assert any(
+            _coeff_distance(sol.coefficients, law.coefficients) <= SAME_ROOT_TOL
+            for law in found
+        )
+
+
+def test_top_rung_2_2_2_finds_all_laws() -> None:
+    # (2,2,2) seed 1, the north-star ladder's top rung, once lost a law to
+    # an endpoint collision under every condition order it tried
+    problem = ProblemInput.generate(2, 2, 2, 1)
+    result = solve_pieri(problem)
+    assert result.losses == []
+    assert len(result.solutions) == pieri_root_count(2, 2, 2) == 32
+    report = verify(result.solutions, problem)
+    assert report.duplicates == []
+    assert report.max_residual <= 1e-8
+    assert report.min_distance > 1e-4
 
 
 def test_condition_rotation_recovers_lost_walk(monkeypatch) -> None:
@@ -759,6 +795,7 @@ def test_condition_rotation_recovers_lost_walk(monkeypatch) -> None:
     assert len(walks) == 2
     assert walks[0].lost_paths > 0
     assert result is walks[1]
+    assert result.walks == 2
     assert len(result.solutions) == pieri_root_count(2, 2, 1) == 8
     assert result.losses == []
     report = verify(result.solutions, problem)

@@ -214,6 +214,11 @@ def test_total_degree_start_rejects_zero_polynomial() -> None:
     empty = PolySystem(1, [[]])
     with pytest.raises(ValueError):
         total_degree_start(empty, np.random.default_rng(1))
+    # a nonzero constant has no root, so no start system fits it
+    constant = PolySystem(2, [[Term(1.0, (2, 0)), Term(-4.0, (0, 0))],
+                              [Term(3.0, (0, 0))]])
+    with pytest.raises(ValueError, match="polynomial 1"):
+        total_degree_start(constant, np.random.default_rng(1))
 
 
 def test_json_round_trip_exact() -> None:
