@@ -40,15 +40,16 @@ SAME_ROOT_TOL = 1e-4
 # target system never changes, but a rotation replaces every intermediate
 # system, stepping around data that is degenerate for one ordering
 MAX_CONDITION_ORDERS = 4
-# how the worker tracks one edge, in order: the straight path, then fixed
-# detour arcs through the complex t-plane around a near-singular fiber at
-# real t, then the same five with the step size cut 5x and 25x; rungs are
-# (step shrink, arc), and the first converged rung is kept
-RETRY_LADDER = tuple(
-    (shrink, gamma)
-    for shrink in (1.0, 5.0, 25.0)
-    for gamma in (1.0 + 0.0j, np.exp(0.8j), np.exp(-0.8j), np.exp(1.6j), np.exp(-1.6j))
-)
+# every edge is tracked on one fixed arc through the complex t-plane, the
+# gamma trick of Morgan & Sommese (1987): the homotopy into a pattern
+# depends only on the pattern and its conditions, so on one arc that misses
+# its finitely many singular fibers, distinct starts reach distinct roots;
+# the real segment can pass through such a fiber, and arcs that differ per
+# edge can wind around a branch point onto a sibling's root
+GAMMA = np.exp(0.6j)
+# step-size cuts the worker tries in order on that arc; the first
+# converged rung is kept
+RETRY_LADDER = (1.0, 5.0, 25.0)
 
 
 # ----------------------------------------------------- coefficient layout
@@ -299,40 +300,6 @@ class ProblemInput:
         return cls(m, p, q, seed, planes, points)
 
 
-def problem_to_json(problem: ProblemInput) -> str:
-    doc = {
-        "m": problem.m,
-        "p": problem.p,
-        "q": problem.q,
-        "seed": problem.seed,
-        "points": [[z.real, z.imag] for z in problem.points],
-        "planes": [
-            [[[v.real, v.imag] for v in row] for row in plane]
-            for plane in problem.planes
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def problem_from_json(text: str) -> ProblemInput:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed problem file: {exc}") from exc
-    try:
-        m, p, q = int(doc["m"]), int(doc["p"]), int(doc["q"])
-        seed = int(doc.get("seed", 0))
-        pts = np.asarray(doc["points"], dtype=float)
-        pls = np.asarray(doc["planes"], dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 2 or pls.ndim != 4 or pls.shape[3] != 2:
-            raise ValueError("points need [re,im] pairs, planes nested rows of them")
-        points = pts[:, 0] + 1j * pts[:, 1]
-        planes = pls[..., 0] + 1j * pls[..., 1]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed problem file: {exc}") from exc
-    return ProblemInput(m, p, q, seed, planes, points)
-
-
 # -------------------------------------------------------- edge homotopy
 
 
@@ -454,16 +421,20 @@ class EdgeOutcome:
     start_residual: float
     start_min_pivot: float
     start_scale: float
-    arc_used: int = 0  # the RETRY_LADDER rung of the last track
+    # the RETRY_LADDER rung (step shrink) of the last track, under the
+    # name perfbench's span hooks read
+    arc_used: int = 0
 
 
 @dataclass(frozen=True, eq=False)
 class EdgeTask:
     """Self-contained worker payload: track one edge of the tree.
 
-    The edge is tracked up RETRY_LADDER until a rung converges; the ladder
-    is fixed, so outcomes stay deterministic for every worker count.  This
-    is the only place an edge is tracked.
+    The edge is tracked on the GAMMA arc at each RETRY_LADDER step size in
+    turn until one converges.  Every edge into a pattern shares that arc,
+    so distinct starts stay on distinct paths, and the fixed ladder keeps
+    outcomes deterministic for every worker count.  This is the only place
+    an edge is tracked.
     """
 
     problem: ProblemInput
@@ -494,9 +465,9 @@ class EdgeTask:
                 "start_violation", None, start_residual, 0,
                 start_residual, f.min_pivot, f.scale,
             )
+        arc = GammaArc(hom, GAMMA)
         steps_total = 0
-        for rung, (shrink, gamma) in enumerate(RETRY_LADDER):
-            arc = hom if gamma == 1.0 else GammaArc(hom, gamma)
+        for rung, shrink in enumerate(RETRY_LADDER):
             opts = self.options
             if shrink != 1.0:
                 h = max(opts.h_max / shrink, opts.h_min)
@@ -552,8 +523,8 @@ class EdgeRecord:
     """Per-edge diagnostics kept for reporting and contract checks.
 
     ``steps_used`` counts every tracker step the worker spent on the edge,
-    over all the rungs it tried, and ``rung`` is the last rung it tracked:
-    the one that converged, if any.
+    over all the step sizes it tried, and ``rung`` is the RETRY_LADDER rung
+    it tracked last: the one that converged, if any.
     """
 
     edge_id: str
@@ -779,13 +750,15 @@ def solve_pieri(
     Solutions come back canonically sorted, so equal seeds give identical
     results for any worker count.  Edge jobs depend on their parent's
     coefficients, so the job kind fixes the schedule: the tree is walked
-    by dynamic dispatch.  A walk that loses paths (endpoint collisions
-    included) is retried under rotated condition orderings.  The target
-    system is the same, so the first loss-free walk wins.  Failing that,
-    the laws of the lossy walks are pooled, distinct up to SAME_ROOT_TOL,
-    and the pool wins once it holds exactly the root count: the stopping
-    rule of monodromy solving (Duff et al., IMA J. Numer. Anal. 2019).
-    Else the walk that lost fewest is returned.
+    by dynamic dispatch.  A walk that loses paths (an edge failing at
+    every step size, or an endpoint collision, which the shared contour
+    should rule out but which is still checked) is retried under rotated
+    condition orderings.  The target system is the same, so the first
+    loss-free walk wins.  Failing that, the laws of the lossy walks are
+    pooled, distinct up to SAME_ROOT_TOL, and the pool wins once it holds
+    exactly the root count: the stopping rule of monodromy solving (Duff
+    et al., IMA J. Numer. Anal. 2019).  Else the walk that lost fewest is
+    returned.
     """
     options = options or TrackerOptions()
     root = pieri_root_count(problem.m, problem.p, problem.q)

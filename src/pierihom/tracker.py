@@ -158,9 +158,12 @@ class GammaArc:
     """Reparametrize a homotopy along a complex arc from t=0 to t=1.
 
     t = gamma tau / (1 + (gamma - 1) tau) sends [0, 1] to a circular arc
-    through the complex t-plane with the same endpoints.  Paths that pass
-    near a singular fiber at an interior real t can be tracked around it;
-    for |gamma| = 1, gamma != 1, the denominator never vanishes on [0, 1].
+    through the complex t-plane with the same endpoints; for |gamma| = 1,
+    gamma != 1, the denominator never vanishes on [0, 1].  A homotopy
+    analytic in t is singular at finitely many t, so a generic arc misses
+    them all (the gamma trick of Morgan & Sommese, Appl. Math. Comput.
+    1987), and distinct paths of one homotopy on one such arc stay apart
+    until t = 1.
     """
 
     def __init__(self, base: HomotopyLike, gamma: complex):

@@ -18,6 +18,7 @@ import pytest
 
 from pierihom import engine
 from pierihom.engine import (
+    GAMMA,
     RETRY_LADDER,
     EdgeHomotopy,
     EdgeTask,
@@ -30,8 +31,6 @@ from pierihom.engine import (
     free_slots,
     full_coefficients,
     instantiate_map,
-    problem_from_json,
-    problem_to_json,
     solution_from_free,
     solutions_to_json,
     solve_pieri,
@@ -319,34 +318,6 @@ def test_problem_input_generation_invariants() -> None:
         assert not np.array_equal(prob.planes, other.planes)
 
 
-def test_problem_input_json_round_trip() -> None:
-    prob = ProblemInput.generate(2, 2, 1, 13)
-    text = problem_to_json(prob)
-    back = problem_from_json(text)
-    assert back.m == 2 and back.p == 2 and back.q == 1 and back.seed == 13
-    assert np.array_equal(back.planes, prob.planes)
-    assert np.array_equal(back.points, prob.points)
-
-
-def test_problem_input_rejects_malformed() -> None:
-    prob = ProblemInput.generate(2, 2, 0, 1)
-    good = json.loads(problem_to_json(prob))
-    for mangle in (
-        lambda d: d.pop("planes"),
-        lambda d: d["planes"].pop(),
-        lambda d: d["points"].pop(),
-        lambda d: d["planes"][0].pop(),
-        lambda d: d["points"].__setitem__(0, [1.0, 0.0]),
-        lambda d: d.__setitem__("points", d["points"][:1] + d["points"][:1] + d["points"][2:]),
-    ):
-        bad = json.loads(json.dumps(good))
-        mangle(bad)
-        with pytest.raises(ValueError):
-            problem_from_json(json.dumps(bad))
-    with pytest.raises(ValueError):
-        problem_from_json("not json at all")
-
-
 def test_problem_input_rank_check_uses_the_whole_plane() -> None:
     # every coordinate 2-plane of C^4 has full column rank, whichever rows
     # happen to be zero; two parallel columns do not
@@ -461,15 +432,15 @@ def test_first_edge_matches_linear_closed_form() -> None:
 
 
 def test_edge_task_climbs_to_shrunk_steps(monkeypatch) -> None:
-    # every full-step rung fails, so the edge must converge on the first
-    # rung with shrunk steps: the straight path at h_max / 5
+    # the full-step track fails, so the edge must converge on rung 1: the
+    # same arc at h_max / 5
     problem = ProblemInput.generate(2, 2, 0, 17)
     opts = TrackerOptions()
     real_track = engine.track_path
     tracked = []
 
     def full_steps_fail(hom, x0, path_opts):
-        tracked.append((getattr(hom, "gamma", 1.0), path_opts.h_max))
+        tracked.append((hom.gamma, path_opts.h_max))
         if path_opts.h_max == opts.h_max:
             return PathResult("failed", x0, 0.0, 1.0, 1, 0)
         return real_track(hom, x0, path_opts)
@@ -478,11 +449,10 @@ def test_edge_task_climbs_to_shrunk_steps(monkeypatch) -> None:
     task = EdgeTask(problem, trivial_pattern(2, 2, 0).bottom, (1, 3), 1,
                     np.zeros(0, dtype=np.complex128), opts)
     outcome = task.run()
-    assert RETRY_LADDER[5] == (5.0, 1.0)
+    assert RETRY_LADDER[1] == 5.0
     assert outcome.status == "converged"
-    assert outcome.arc_used == 5
-    assert tracked[-1] == (1.0, opts.h_max / 5.0)
-    assert len(tracked) == 6
+    assert outcome.arc_used == 1
+    assert tracked == [(GAMMA, opts.h_max), (GAMMA, opts.h_max / 5.0)]
 
 
 def test_edge_task_flags_start_violation() -> None:
@@ -669,8 +639,8 @@ def test_unresolved_collision_becomes_loss(monkeypatch) -> None:
 
 
 def test_every_track_runs_on_a_worker(monkeypatch) -> None:
-    # (2,2,1) seed 12 lands endpoints on claimed roots; the solve must still
-    # return 8 distinct laws, and the master must never track a path itself
+    # the solve of (2,2,1) seed 12 must return 8 distinct laws, and the
+    # master must never track a path itself
     from pierihom.engine import SAME_ROOT_TOL, _coeff_distance
 
     problem = ProblemInput.generate(2, 2, 1, 12)
@@ -702,9 +672,10 @@ def test_every_track_runs_on_a_worker(monkeypatch) -> None:
 
 
 def test_retrack_steps_and_rungs_land_on_their_edges(monkeypatch) -> None:
-    # (2,2,1) seed 12 has endpoint collisions: every edge's record carries
-    # exactly its worker's steps and rung, and together they account for
-    # every step tracked in the walk
+    # the first track of a (2,2,1) seed 12 walk fails at full steps, so its
+    # edge ends on rung 1: every edge's record carries exactly its worker's
+    # steps and rung, and together they account for every step tracked in
+    # the walk, the failed track's included
     from pierihom.engine import PieriTreeSource
     from pierihom.scheduler import run_dynamic
 
@@ -715,7 +686,10 @@ def test_retrack_steps_and_rungs_land_on_their_edges(monkeypatch) -> None:
     real_track, real_on_result = engine.track_path, PieriTreeSource.on_result
 
     def counting_track(hom, x0, opts):
-        res = real_track(hom, x0, opts)
+        if tracked:
+            res = real_track(hom, x0, opts)
+        else:
+            res = PathResult("failed", x0, 0.3, 1.0, 7, 0)
         tracked.append(res.steps_used)
         return res
 
@@ -726,7 +700,9 @@ def test_retrack_steps_and_rungs_land_on_their_edges(monkeypatch) -> None:
     monkeypatch.setattr(engine, "track_path", counting_track)
     monkeypatch.setattr(PieriTreeSource, "on_result", recording_on_result)
     run_dynamic(source, workers=1)
-    assert any(rec.status == "collision" for rec in source.edge_records)
+    assert any(
+        rec.rung == 1 and rec.status == "converged" for rec in source.edge_records
+    )
     for rec in source.edge_records:
         assert rec.steps_used == outcomes[rec.edge_id].steps_used
         assert rec.rung == outcomes[rec.edge_id].arc_used
@@ -734,23 +710,41 @@ def test_retrack_steps_and_rungs_land_on_their_edges(monkeypatch) -> None:
 
 
 def test_rotated_walks_pool_their_laws(monkeypatch) -> None:
-    # (2,2,1) seed 11 loses paths under the given order and under the first
-    # rotation; the laws of the two walks together make all 8
+    # each of the first two walks of (2,2,1) seed 11 is forced to lose a
+    # different law at a leaf edge; the laws of the two walks together
+    # make all 8
     from pierihom.engine import SAME_ROOT_TOL, _coeff_distance
 
     problem = ProblemInput.generate(2, 2, 1, 11)
-    real_run_tree = engine._run_tree
+    real_run_tree, real_run = engine._run_tree, EdgeTask.run
     walks = []
+    dropped = {}  # walk's problem -> the law its failed leaf edge reached
 
     def recording_run_tree(attempt, original, workers, options):
         result = real_run_tree(attempt, original, workers, options)
         walks.append(result)
         return result
 
+    def dropping_run(task):
+        outcome = real_run(task)
+        if (
+            task.cond_index == problem.n
+            and outcome.status == "converged"
+            and task.problem not in dropped
+            and all(
+                _coeff_distance(outcome.free, law) > SAME_ROOT_TOL
+                for law in dropped.values()
+            )
+        ):
+            dropped[task.problem] = outcome.free
+            return replace(outcome, status="failed", free=None)
+        return outcome
+
     monkeypatch.setattr(engine, "_run_tree", recording_run_tree)
+    monkeypatch.setattr(EdgeTask, "run", dropping_run)
     result = solve_pieri(problem)
     assert len(walks) == 2 and result.walks == 2
-    assert all(walk.lost_paths > 0 for walk in walks)
+    assert [walk.lost_paths for walk in walks] == [1, 1]
     assert len(result.solutions) == pieri_root_count(2, 2, 1) == 8
     assert result.losses == []
     report = verify(result.solutions, problem)
@@ -778,19 +772,28 @@ def test_top_rung_2_2_2_finds_all_laws() -> None:
 
 
 def test_condition_rotation_recovers_lost_walk(monkeypatch) -> None:
-    # (2,2,1) seed 5 loses a path to an endpoint collision under the given
-    # condition order; the first rotation must find all 8 laws, and they
-    # must solve the problem as given, not the rotated one
+    # the first edge of the (2,2,1) seed 5 walk under the given condition
+    # order is forced to fail; the first rotation must find all 8 laws, and
+    # they must solve the problem as given, not the rotated one
     problem = ProblemInput.generate(2, 2, 1, 5)
-    real_run_tree = engine._run_tree
+    real_run_tree, real_run = engine._run_tree, EdgeTask.run
     walks = []
+    failed = []
 
     def recording_run_tree(attempt, original, workers, options):
         result = real_run_tree(attempt, original, workers, options)
         walks.append(result)
         return result
 
+    def failing_run(task):
+        outcome = real_run(task)
+        if task.problem is problem and not failed:
+            failed.append(task)
+            return replace(outcome, status="failed", free=None)
+        return outcome
+
     monkeypatch.setattr(engine, "_run_tree", recording_run_tree)
+    monkeypatch.setattr(EdgeTask, "run", failing_run)
     result = solve_pieri(problem)
     assert len(walks) == 2
     assert walks[0].lost_paths > 0
@@ -801,6 +804,26 @@ def test_condition_rotation_recovers_lost_walk(monkeypatch) -> None:
     report = verify(result.solutions, problem)
     assert report.max_residual <= 1e-8
     assert report.min_distance > 1e-4
+
+
+def test_collide_seeds_solve_in_one_walk_on_one_contour(monkeypatch) -> None:
+    # (2,2,1) seeds 5, 15 and 12 lose paths to endpoint collisions when the
+    # edges into one pattern take different contours; on the one shared
+    # contour each solves in a single walk without a collision
+    gammas = set()
+    real_track = engine.track_path
+
+    def recording_track(hom, x0, opts):
+        gammas.add(getattr(hom, "gamma", None))
+        return real_track(hom, x0, opts)
+
+    monkeypatch.setattr(engine, "track_path", recording_track)
+    for seed in (5, 15, 12):
+        result = solve_pieri(ProblemInput.generate(2, 2, 1, seed))
+        assert result.walks == 1
+        assert result.losses == []
+        assert all(rec.status != "collision" for rec in result.edge_records)
+    assert gammas == {GAMMA}
 
 
 # ---------------------------------------------------- verify and JSON
