@@ -344,32 +344,39 @@ class EdgeHomotopy:
         self._grid_rows = np.repeat(grid, mp)
         self._grid_cols = np.tile(grid, mp)
 
-    def _moving(self, t: complex) -> tuple[complex, np.ndarray, np.ndarray]:
-        """Point s(t), (1, nstars) weights and (1, m+p, m) plane of equation 1."""
-        s_mov = (1.0 - t) + self._s_new * t
-        plane = self._special + t * self._plane_delta
-        return s_mov, self._lay.monomials(s_mov, t), plane[None]
+    def _stack(self, x, t: complex) -> tuple[np.ndarray, complex, np.ndarray, np.ndarray]:
+        """Star vector, s(t), all k condition matrices (moving first), weights.
 
-    def _matrices(self, x: np.ndarray, t: complex) -> tuple[np.ndarray, np.ndarray]:
-        """All k condition matrices, moving first, and their star weights."""
-        _, mono, plane = self._moving(t)
-        mono = np.concatenate([mono, self._mono_pin])
-        planes = np.concatenate([plane, self._l_pin])
-        return self._lay.assemble(self._lay.full(x), mono, planes), mono
+        The one place the stack is assembled; each call below does it once.
+        """
+        full = self._lay.full(x)
+        s_mov = (1.0 - t) + self._s_new * t
+        mono = np.concatenate([self._lay.monomials(s_mov, t), self._mono_pin])
+        planes = np.concatenate([(self._special + t * self._plane_delta)[None], self._l_pin])
+        return full, s_mov, self._lay.assemble(full, mono, planes), mono
 
     def eval(self, x, t: complex) -> np.ndarray:
-        a, _ = self._matrices(np.asarray(x, dtype=np.complex128), t)
-        return np.linalg.det(a)
+        return np.linalg.det(self._stack(x, t)[2])
 
     def jacobian_x(self, x, t: complex) -> np.ndarray:
-        a, mono = self._matrices(np.asarray(x, dtype=np.complex128), t)
-        return self._lay.gradient(a, mono)
+        return self._lay.gradient(*self._stack(x, t)[2:])
 
     def dt(self, x, t: complex) -> np.ndarray:
+        return self.jacobian_dt(x, t)[1]
+
+    def eval_jacobian(self, x, t: complex) -> tuple[np.ndarray, np.ndarray]:
+        """(H, H_x) from one stack: the corrector's Newton step."""
+        _, _, a, mono = self._stack(x, t)
+        return np.linalg.det(a), self._lay.gradient(a, mono)
+
+    def jacobian_dt(self, x, t: complex) -> tuple[np.ndarray, np.ndarray]:
+        """(H_x, H_t) from one stack: the predictor's tangent.
+
+        Only equation 1 moves; its t-derivative is the cofactor grid of the
+        moving matrix against that matrix's entrywise derivative.
+        """
         lay = self._lay
-        full = lay.full(np.asarray(x, dtype=np.complex128))
-        s_mov, mono, plane = self._moving(t)
-        a = lay.assemble(full, mono, plane)[0]
+        full, s_mov, a, mono = self._stack(x, t)
         degs, tpow = lay.st_degs, lay.st_tpow
         sdot = self._s_new - 1.0
         # d/dt of s(t)^deg t^tpow, with 0 * base^(-1) branches masked off
@@ -377,10 +384,9 @@ class EdgeHomotopy:
         term_t = np.where(tpow > 0, tpow * complex(t) ** np.maximum(tpow - 1, 0), 0.0)
         dmono = term_s * sdot * t**tpow + term_t * s_mov**degs
         adot = lay.assemble(full, dmono[None], self._plane_delta)[0]
-        cof = cofactors_at(a, self._grid_rows, self._grid_cols)
-        out = np.zeros(self.nvars, dtype=np.complex128)
-        out[0] = cof @ adot.ravel()
-        return out
+        h_t = np.zeros(self.nvars, dtype=np.complex128)
+        h_t[0] = cofactors_at(a[0], self._grid_rows, self._grid_cols) @ adot.ravel()
+        return lay.gradient(a, mono), h_t
 
 
 def embed_start(

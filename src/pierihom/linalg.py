@@ -10,6 +10,7 @@ report, and it defines the singularity threshold ``solve_linear`` keeps.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,20 +119,29 @@ def cofactor(a, row: int, col: int) -> complex:
     return sign * det(minor)
 
 
+@functools.lru_cache(maxsize=None)
+def _minor_selectors(n: int, rows: bytes, cols: bytes):
+    """Index arrays picking every requested minor, and the cofactor signs."""
+    rows = np.frombuffer(rows, dtype=np.intp)
+    cols = np.frombuffer(cols, dtype=np.intp)
+    keep = np.arange(n - 1)
+    rowsel = np.where(keep[None, :] < rows[:, None], keep, keep + 1)
+    colsel = np.where(keep[None, :] < cols[:, None], keep, keep + 1)
+    return rowsel[:, :, None], colsel[:, None, :], np.where((rows + cols) % 2, -1.0, 1.0)
+
+
 def cofactors_at(a, rows, cols) -> np.ndarray:
     """Signed cofactors at paired (rows, cols) positions of a matrix stack.
 
     ``a`` has shape (..., n, n); the result has shape (..., len(rows)).
     All requested minors of every matrix go through one fancy-indexing
     expression and a single stacked determinant call; positions may repeat.
+    The selectors are built once per (n, rows, cols).
     """
     a = np.asarray(a, dtype=np.complex128)
-    n = a.shape[-1]
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    keep = np.arange(n - 1)
-    rowsel = np.where(keep[None, :] < rows[:, None], keep, keep + 1)
-    colsel = np.where(keep[None, :] < cols[:, None], keep, keep + 1)
-    minors = a[..., rowsel[:, :, None], colsel[:, None, :]]
-    signs = np.where((rows + cols) % 2, -1.0, 1.0)
-    return signs * np.linalg.det(minors)
+    rowsel, colsel, signs = _minor_selectors(
+        a.shape[-1],
+        np.asarray(rows, dtype=np.intp).tobytes(),
+        np.asarray(cols, dtype=np.intp).tobytes(),
+    )
+    return signs * np.linalg.det(a[..., rowsel, colsel])

@@ -119,6 +119,12 @@ class Homotopy:
         self._check_t(t)
         return self.target.evaluate(x) - self.gamma * self.start.evaluate(x)
 
+    def eval_jacobian(self, x, t: float) -> tuple[np.ndarray, np.ndarray]:
+        return self.eval(x, t), self.jacobian_x(x, t)
+
+    def jacobian_dt(self, x, t: float) -> tuple[np.ndarray, np.ndarray]:
+        return self.jacobian_x(x, t), self.dt(x, t)
+
 
 def start_roots(degrees: list[int], constants: list[complex]) -> list[np.ndarray]:
     """All solutions of { c_i * x_i^{d_i} = 1 }: a roots-of-unity grid."""

@@ -1,12 +1,15 @@
 """Adaptive predictor-corrector continuation for t in [0, 1].
 
 Works against any homotopy-like evaluator: an object exposing ``nvars``,
-``eval(x, t)``, ``jacobian_x(x, t)`` and ``dt(x, t)``.  The predictor is an
-Euler tangent step (solve J_x v = -h_t), the corrector is plain Newton at
-fixed t, accepted when the update norm drops below corrector_tol.  Step
-control halves the attempted step on corrector failure and grows it by 1.5
-after three consecutive successes, clamped to [h_min, h_max]; the final
-step lands exactly on t = 1 and is followed by a short Newton polish.
+``eval(x, t) -> H`` for the start and end residuals, and two fused calls
+that each evaluate the system once at (x, t): ``eval_jacobian(x, t) ->
+(H, H_x)`` for the corrector and ``jacobian_dt(x, t) -> (H_x, H_t)`` for
+the predictor.  The predictor is an Euler tangent step (solve
+H_x v = -H_t), the corrector is plain Newton at fixed t, accepted when the
+update norm drops below corrector_tol.  Step control halves the attempted
+step on corrector failure and grows it by 1.5 after three consecutive
+successes, clamped to [h_min, h_max]; the final step lands exactly on
+t = 1 and is followed by a short Newton polish.
 """
 from __future__ import annotations
 
@@ -24,9 +27,9 @@ class HomotopyLike(Protocol):
 
     def eval(self, x, t: float) -> np.ndarray: ...
 
-    def jacobian_x(self, x, t: float) -> np.ndarray: ...
+    def eval_jacobian(self, x, t: float) -> tuple[np.ndarray, np.ndarray]: ...
 
-    def dt(self, x, t: float) -> np.ndarray: ...
+    def jacobian_dt(self, x, t: float) -> tuple[np.ndarray, np.ndarray]: ...
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,8 @@ def _newton(h: HomotopyLike, x: np.ndarray, t: float,
     """Correct x at fixed t; success means the update norm met corrector_tol."""
     for it in range(1, opts.max_corrector_iters + 1):
         try:
-            dx = solve_linear(h.jacobian_x(x, t), -h.eval(x, t))
+            res, jac = h.eval_jacobian(x, t)
+            dx = solve_linear(jac, -res)
         except SingularMatrixError:
             return x, it, False
         x = x + dx
@@ -109,7 +113,8 @@ def track_path(
         dt = min(step, 1.0 - t)
         t_new = 1.0 if dt >= 1.0 - t else t + dt
         try:
-            tangent = solve_linear(h.jacobian_x(x, t), -h.dt(x, t))
+            jac, h_t = h.jacobian_dt(x, t)
+            tangent = solve_linear(jac, -h_t)
             x_pred = x + tangent * dt
             if not np.all(np.isfinite(x_pred)):
                 x_pred = x
@@ -138,7 +143,8 @@ def track_path(
         # landed exactly on t=1; polish with a few extra Newton iterations
         for _ in range(5):
             try:
-                dx = solve_linear(h.jacobian_x(x, 1.0), -h.eval(x, 1.0))
+                res, jac = h.eval_jacobian(x, 1.0)
+                dx = solve_linear(jac, -res)
             except SingularMatrixError:
                 break
             if not np.all(np.isfinite(x + dx)):
@@ -158,8 +164,9 @@ class GammaArc:
     """Reparametrize a homotopy along a complex arc from t=0 to t=1.
 
     t = gamma tau / (1 + (gamma - 1) tau) sends [0, 1] to a circular arc
-    through the complex t-plane with the same endpoints; for |gamma| = 1,
-    gamma != 1, the denominator never vanishes on [0, 1].  A homotopy
+    through the complex t-plane with the same endpoints.  The denominator
+    vanishes at tau = 1 / (1 - gamma), which lies in (0, 1] exactly when
+    gamma is real and <= 0; those gammas are rejected.  A homotopy
     analytic in t is singular at finitely many t, so a generic arc misses
     them all (the gamma trick of Morgan & Sommese, Appl. Math. Comput.
     1987), and distinct paths of one homotopy on one such arc stay apart
@@ -167,11 +174,11 @@ class GammaArc:
     """
 
     def __init__(self, base: HomotopyLike, gamma: complex):
-        if gamma == 0:
-            raise ValueError("gamma must be nonzero")
+        self.gamma = complex(gamma)
+        if self.gamma.imag == 0 and self.gamma.real <= 0:
+            raise ValueError(f"gamma {gamma} is real and <= 0: the arc meets a pole")
         self.base = base
         self.nvars = base.nvars
-        self.gamma = complex(gamma)
 
     def _t(self, tau: float) -> complex:
         return self.gamma * tau / (1.0 + (self.gamma - 1.0) * tau)
@@ -179,12 +186,12 @@ class GammaArc:
     def eval(self, x, tau: float) -> np.ndarray:
         return self.base.eval(x, self._t(tau))
 
-    def jacobian_x(self, x, tau: float) -> np.ndarray:
-        return self.base.jacobian_x(x, self._t(tau))
+    def eval_jacobian(self, x, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        return self.base.eval_jacobian(x, self._t(tau))
 
-    def dt(self, x, tau: float) -> np.ndarray:
-        dphi = self.gamma / (1.0 + (self.gamma - 1.0) * tau) ** 2
-        return self.base.dt(x, self._t(tau)) * dphi
+    def jacobian_dt(self, x, tau: float) -> tuple[np.ndarray, np.ndarray]:
+        jac, h_t = self.base.jacobian_dt(x, self._t(tau))
+        return jac, h_t * (self.gamma / (1.0 + (self.gamma - 1.0) * tau) ** 2)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pierihom import engine
+from pierihom import engine, tracker
 from pierihom.engine import (
     GAMMA,
     RETRY_LADDER,
@@ -27,6 +27,7 @@ from pierihom.engine import (
     SolutionMap,
     condition_gradient,
     condition_residual,
+    embed_start,
     free_coefficients,
     free_slots,
     full_coefficients,
@@ -43,12 +44,13 @@ from pierihom.patterns import (
     column_heights,
     count_paths,
     degrees_of_freedom,
+    increments,
     num_conditions,
     pieri_root_count,
     target_pattern,
     trivial_pattern,
 )
-from pierihom.tracker import PathResult, TrackerOptions
+from pierihom.tracker import GammaArc, PathResult, TrackerOptions, track_path
 
 
 def laplace_det(a: np.ndarray) -> complex:
@@ -409,6 +411,96 @@ def test_edge_homotopy_dt_matches_finite_differences() -> None:
         got = hom.dt(x, t)
         assert np.all(np.abs(got - fd) <= 1e-5 * np.maximum(1.0, np.abs(fd)))
         assert np.all(got[1:] == 0)  # pinned equations carry no t
+
+
+def tree_patterns(m: int, p: int, q: int) -> list[LocalizationPattern]:
+    """Every pattern below the target, the trivial one excluded, by depth."""
+    level, out = [trivial_pattern(m, p, q)], []
+    while level:
+        level = sorted({c for pat in level for c in increments(pat)}, key=str)
+        out += level
+    return out
+
+
+@pytest.mark.parametrize("m,p,q,seed", [(2, 2, 1, 7), (2, 3, 0, 3), (3, 3, 0, 3)])
+def test_fused_edge_kernels_match_condition_oracles(m, p, q, seed) -> None:
+    problem = ProblemInput.generate(m, p, q, seed)
+    rng = np.random.default_rng(seed)
+    for dest in tree_patterns(m, p, q):
+        k = degrees_of_freedom(dest)
+        hom = make_edge_homotopy(problem, dest, k)
+        x = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        t = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3))
+        h, jac = hom.eval_jacobian(x, t)
+        jac_dt, h_t = hom.jacobian_dt(x, t)
+        ev = instantiate_map(dest, full_coefficients(dest, x))
+        s_t = (1 - t) + problem.points[k - 1] * t
+        plane_t = (1 - t) * special_plane(dest) + t * problem.planes[k - 1]
+        oracle = [(plane_t, s_t, t)] + [
+            (problem.planes[i], problem.points[i], 1.0) for i in range(k - 1)
+        ]
+        for row, (plane, s_i, t_i) in enumerate(oracle):
+            want = condition_residual(ev, plane, s_i, t_i)
+            assert abs(h[row] - want) <= 1e-12 * max(1.0, abs(want))
+            grad = condition_gradient(ev, plane, s_i, t_i)
+            assert np.allclose(jac[row], grad, rtol=1e-12, atol=1e-12)
+        step = 1e-6
+        fd = (hom.eval(x, t + step) - hom.eval(x, t - step)) / (2 * step)
+        assert np.all(np.abs(h_t - fd) <= 1e-6 * np.maximum(1.0, np.abs(fd)))
+        assert np.all(h_t[1:] == 0)
+        # both calls share one Jacobian, and the single views agree with them
+        assert np.array_equal(jac, jac_dt)
+        assert np.array_equal(hom.eval(x, t), h)
+        assert np.array_equal(hom.jacobian_x(x, t), jac)
+        assert np.array_equal(hom.dt(x, t), h_t)
+        # the arc's pair is the base pair at phi(tau), H_t scaled by dphi/dtau
+        arc = GammaArc(hom, GAMMA)
+        tau = rng.uniform(0.1, 0.9)
+        phi = GAMMA * tau / (1 + (GAMMA - 1) * tau)
+        dphi = GAMMA / (1 + (GAMMA - 1) * tau) ** 2
+        a_h, a_jac = arc.eval_jacobian(x, tau)
+        base_h, base_jac = hom.eval_jacobian(x, phi)
+        assert np.allclose(a_h, base_h, rtol=1e-12, atol=1e-14)
+        assert np.allclose(a_jac, base_jac, rtol=1e-12, atol=1e-14)
+        a_jac_dt, a_h_t = arc.jacobian_dt(x, tau)
+        assert np.array_equal(a_jac_dt, a_jac)
+        assert np.allclose(a_h_t, hom.jacobian_dt(x, phi)[1] * dphi, rtol=1e-12, atol=1e-14)
+        fd = (arc.eval(x, tau + step) - arc.eval(x, tau - step)) / (2 * step)
+        assert np.all(np.abs(a_h_t - fd) <= 1e-6 * np.maximum(1.0, np.abs(fd)))
+
+
+def test_one_condition_stack_per_linear_solve(monkeypatch) -> None:
+    # walk the first child chain of (2,2,1) s7 down to depth 5, then count
+    # how often the tracker's kernels build the k-matrix stack for one edge
+    problem = ProblemInput.generate(2, 2, 1, 7)
+    source, free = trivial_pattern(2, 2, 1), np.zeros(0, dtype=np.complex128)
+    while degrees_of_freedom(source) < 4:
+        dest = increments(source)[0]
+        outcome = EdgeTask(problem, source.bottom, dest.bottom,
+                           degrees_of_freedom(dest), free, TrackerOptions()).run()
+        assert outcome.status == "converged"
+        source, free = dest, outcome.free
+    dest = increments(source)[0]
+    k = degrees_of_freedom(dest)
+    hom = make_edge_homotopy(problem, dest, k)
+    stacks, solves = [], []
+    assemble, solve_linear = engine._Layout.assemble, tracker.solve_linear
+
+    def counting_assemble(lay, coeffs, mono, planes):
+        stacks.append(len(mono) == k)
+        return assemble(lay, coeffs, mono, planes)
+
+    def counting_solve(a, b):
+        solves.append(1)
+        return solve_linear(a, b)
+
+    monkeypatch.setattr(engine._Layout, "assemble", counting_assemble)
+    monkeypatch.setattr(tracker, "solve_linear", counting_solve)
+    res = track_path(GammaArc(hom, GAMMA), embed_start(source, free, dest))
+    assert res.status == "converged"
+    assert len(solves) >= res.newton_iters_total + res.steps_used
+    # one stack per linear solve, plus the start and end residual checks
+    assert sum(stacks) == len(solves) + 2
 
 
 def test_first_edge_matches_linear_closed_form() -> None:

@@ -197,3 +197,30 @@ def test_lu_factors_is_frozen_dataclass() -> None:
     assert isinstance(f, LUFactors)
     with pytest.raises(AttributeError):
         f.det = 0  # type: ignore[misc]
+
+
+def test_cofactors_at_selectors_follow_positions() -> None:
+    # selectors are reused per (n, rows, cols): calls that share n but not
+    # the pairing, or share the positions but not n, must not mix them up
+    rng = np.random.default_rng(12)
+    positions = [
+        ([0, 1], [2, 3]),
+        ([2, 3], [0, 1]),
+        ([0, 1], [3, 2]),
+        ([1, 0], [2, 3]),
+        ([0, 1, 2], [2, 3, 0]),
+        (np.array([3, 3]), np.array([0, 1])),
+    ]
+    for _ in range(2):
+        for n in (4, 5):
+            single = random_complex(rng, (n, n))
+            stack = random_complex(rng, (3, n, n))
+            for rows, cols in positions:
+                for mats, got in (
+                    ([single], cofactors_at(single, rows, cols)[None]),
+                    (list(stack), cofactors_at(stack, rows, cols)),
+                ):
+                    assert got.shape == (len(mats), len(rows))
+                    for i, a in enumerate(mats):
+                        want = [cofactor(a, r, c) for r, c in zip(rows, cols)]
+                        assert np.allclose(got[i], want, rtol=1e-11, atol=0)

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from pierihom.engine import GAMMA
 from pierihom.polysys import Homotopy, PolySystem, Term, total_degree_start
-from pierihom.tracker import PathResult, TrackerOptions, track_all, track_path
+from pierihom.tracker import GammaArc, PathResult, TrackerOptions, track_all, track_path
 
 
 def x_squared_minus(c: float) -> PolySystem:
@@ -42,6 +43,12 @@ class BlowupEvaluator:
     def dt(self, x, t):
         return np.array([-4.0 * (1.0 - t) ** 3 * x[0]], dtype=complex)
 
+    def eval_jacobian(self, x, t):
+        return self.eval(x, t), self.jacobian_x(x, t)
+
+    def jacobian_dt(self, x, t):
+        return self.jacobian_x(x, t), self.dt(x, t)
+
 
 @dataclass
 class WallEvaluator:
@@ -65,6 +72,37 @@ class WallEvaluator:
 
     def dt(self, x, t):
         return np.array([0.0], dtype=complex)
+
+    def eval_jacobian(self, x, t):
+        return self.eval(x, t), self.jacobian_x(x, t)
+
+    def jacobian_dt(self, x, t):
+        return self.jacobian_x(x, t), self.dt(x, t)
+
+
+@dataclass
+class SqrtEvaluator:
+    """h(x, t) = x^2 - (1 + 3t) for complex t: x(t) = sqrt(1 + 3t) from x = 1.
+
+    The only branch point is t = -1/3, off every arc GammaArc accepts.
+    """
+
+    nvars: int = 1
+
+    def eval(self, x, t):
+        return np.array([x[0] ** 2 - (1.0 + 3.0 * t)], dtype=complex)
+
+    def jacobian_x(self, x, t):
+        return np.array([[2.0 * x[0]]], dtype=complex)
+
+    def dt(self, x, t):
+        return np.array([-3.0], dtype=complex)
+
+    def eval_jacobian(self, x, t):
+        return self.eval(x, t), self.jacobian_x(x, t)
+
+    def jacobian_dt(self, x, t):
+        return self.jacobian_x(x, t), self.dt(x, t)
 
 
 def test_options_defaults_frozen() -> None:
@@ -231,3 +269,17 @@ def test_path_result_shape() -> None:
     assert isinstance(res, PathResult)
     assert res.endpoint.dtype == np.complex128
     assert isinstance(res.residual, float)
+
+
+def test_gamma_arc_rejects_real_nonpositive_gamma() -> None:
+    # 1 + (gamma - 1) tau vanishes at tau = 1 / (1 - gamma), inside (0, 1]
+    for gamma in (-1.0, -0.5, 0.0, complex(-2.0, 0.0)):
+        with pytest.raises(ValueError):
+            GammaArc(SqrtEvaluator(), gamma)
+    arc = GammaArc(SqrtEvaluator(), GAMMA)
+    taus = np.linspace(0.0, 1.0, 1001)
+    assert np.all(np.abs(1.0 + (arc.gamma - 1.0) * taus) > 0.1)
+    assert arc._t(0.0) == 0 and abs(arc._t(1.0) - 1.0) <= 1e-15
+    res = track_path(arc, [1.0])
+    assert res.status == "converged"
+    assert abs(res.endpoint[0] - 2.0) <= 1e-8
