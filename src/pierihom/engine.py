@@ -36,20 +36,15 @@ MIN_SEPARATION = 1e-3
 # two coefficient vectors closer than this (normalized distance) are one
 # root: endpoints of one pattern, final laws and verify() duplicates alike
 SAME_ROOT_TOL = 1e-4
-# condition orderings tried per solve: the original, then rotations; the
-# target system never changes, but a rotation replaces every intermediate
-# system, stepping around data that is degenerate for one ordering
-MAX_CONDITION_ORDERS = 4
-# every edge is tracked on one fixed arc through the complex t-plane, the
+# every edge is tracked on a fixed arc through the complex t-plane, the
 # gamma trick of Morgan & Sommese (1987): the homotopy into a pattern
 # depends only on the pattern and its conditions, so on one arc that misses
 # its finitely many singular fibers, distinct starts reach distinct roots;
 # the real segment can pass through such a fiber, and arcs that differ per
-# edge can wind around a branch point onto a sibling's root
-GAMMA = np.exp(0.6j)
-# step-size cuts the worker tries in order on that arc; the first
-# converged rung is kept
-RETRY_LADDER = (1.0, 5.0, 25.0)
+# edge can wind around a branch point onto a sibling's root.  All edges
+# into a pattern share one contour; a pattern whose roots fall short of its
+# edges re-tracks every edge on the next one
+GAMMAS = (np.exp(0.6j), np.exp(0.3j), np.exp(-0.6j), np.exp(1.2j))
 
 
 # ----------------------------------------------------- coefficient layout
@@ -427,8 +422,8 @@ class EdgeOutcome:
     start_residual: float
     start_min_pivot: float
     start_scale: float
-    # the RETRY_LADDER rung (step shrink) of the last track, under the
-    # name perfbench's span hooks read
+    # the index into GAMMAS of the contour tracked, under the name
+    # perfbench's span hooks read
     arc_used: int = 0
 
 
@@ -436,11 +431,9 @@ class EdgeOutcome:
 class EdgeTask:
     """Self-contained worker payload: track one edge of the tree.
 
-    The edge is tracked on the GAMMA arc at each RETRY_LADDER step size in
-    turn until one converges.  Every edge into a pattern shares that arc,
-    so distinct starts stay on distinct paths, and the fixed ladder keeps
-    outcomes deterministic for every worker count.  This is the only place
-    an edge is tracked.
+    The edge is tracked once, on the arc of GAMMAS[contour].  The master
+    gives every edge into a pattern the same contour, so distinct starts
+    stay on distinct paths.  This is the only place an edge is tracked.
     """
 
     problem: ProblemInput
@@ -449,6 +442,7 @@ class EdgeTask:
     cond_index: int
     source_free: np.ndarray
     options: TrackerOptions
+    contour: int = 0
 
     def run(self) -> EdgeOutcome:
         prob = self.problem
@@ -471,21 +465,11 @@ class EdgeTask:
                 "start_violation", None, start_residual, 0,
                 start_residual, f.min_pivot, f.scale,
             )
-        arc = GammaArc(hom, GAMMA)
-        steps_total = 0
-        for rung, shrink in enumerate(RETRY_LADDER):
-            opts = self.options
-            if shrink != 1.0:
-                h = max(opts.h_max / shrink, opts.h_min)
-                opts = replace(opts, h_init=h, h_max=h)
-            res = track_path(arc, x0, opts)
-            steps_total += res.steps_used
-            if res.status == "converged":
-                break
+        res = track_path(GammaArc(hom, GAMMAS[self.contour]), x0, self.options)
         free = res.endpoint if res.status == "converged" else None
         return EdgeOutcome(
-            res.status, free, res.residual, steps_total,
-            start_residual, f.min_pivot, f.scale, rung,
+            res.status, free, res.residual, res.steps_used,
+            start_residual, f.min_pivot, f.scale, self.contour,
         )
 
 
@@ -528,9 +512,8 @@ class LossRecord:
 class EdgeRecord:
     """Per-edge diagnostics kept for reporting and contract checks.
 
-    ``steps_used`` counts every tracker step the worker spent on the edge,
-    over all the step sizes it tried, and ``rung`` is the RETRY_LADDER rung
-    it tracked last: the one that converged, if any.
+    An edge re-tracked on a later contour gets one record per contour;
+    ``steps_used`` counts the tracker steps of that one track.
     """
 
     edge_id: str
@@ -541,7 +524,7 @@ class EdgeRecord:
     start_residual: float
     start_min_pivot: float
     start_scale: float
-    rung: int = 0  # the worker's RETRY_LADDER rung
+    contour: int = 0  # index into GAMMAS
 
 
 @dataclass
@@ -550,7 +533,6 @@ class SolveResult:
     losses: list[LossRecord]
     level_counts: dict[int, int]
     edge_records: list[EdgeRecord]
-    walks: int = 1  # tree walks the solve made
 
     @property
     def lost_paths(self) -> int:
@@ -560,16 +542,22 @@ class SolveResult:
 class PieriTreeSource:
     """Dependency-aware job source walking the pattern tree level by level.
 
-    The master owns all bookkeeping: a node is stored only while its
-    children are outstanding, follow-ups for a depth are issued once the
-    whole depth has reported, and failed edges become loss records
-    covering their subtree.  Paths arriving at one pattern must land on
-    distinct roots of one condition system, so converged endpoints are
-    deduplicated per pattern before their subtrees spawn: an endpoint on a
-    root already claimed by an earlier edge becomes a "collision" loss.
-    The master only books; every path is tracked by a worker.  Levels are
-    processed in edge-id order, which keeps everything deterministic for
-    any worker count.
+    The master owns all bookkeeping: an edge's task, and with it its source
+    node, is kept only until the edge is settled, follow-ups for a depth
+    are issued once the whole depth has settled, and failed edges become
+    loss records covering their subtree.  Paths into one pattern must land
+    on distinct roots of one condition system, so the pattern is the unit
+    of recovery.  Its converged endpoints are pooled, distinct up to
+    SAME_ROOT_TOL; within one contour, an endpoint on a root an earlier
+    edge in edge-id order already holds is a "collision".  While the pool
+    holds fewer roots than the pattern has edges, every edge into it is
+    tracked again on the next contour of GAMMAS.  Each contour pairs starts
+    with roots anew, so the pool fills as in monodromy solving (Duff et
+    al., IMA J. Numer. Anal. 2019).  Then the pooled roots go to the edges
+    in edge-id order, and an edge left without one is a loss.  The master
+    only books; every path is tracked by a worker.  Results are processed
+    in edge-id order, which keeps everything deterministic for any worker
+    count.
     """
 
     def __init__(self, problem: ProblemInput, options: TrackerOptions):
@@ -577,9 +565,12 @@ class PieriTreeSource:
         self._options = options
         self._trivial = trivial_pattern(problem.m, problem.p, problem.q)
         self._target = target_pattern(problem.m, problem.p, problem.q)
-        self._store: dict[str, int] = {}
-        self._level_results: list[tuple[str, ResultMessage]] = []
-        self._level_outstanding = 0
+        self._tasks: dict[str, EdgeTask] = {}  # the level's unsettled edges
+        self._pools: dict[tuple[int, ...], list[np.ndarray]] = {}
+        self._survivors: list[tuple[str, tuple[int, ...], np.ndarray]] = []
+        self._round: list[ResultMessage] = []
+        self._outstanding = 0
+        self._contour = 0  # every job of one round tracks this contour
         self.solutions: list[SolutionMap] = []
         self.losses: list[LossRecord] = []
         self.level_counts: dict[int, int] = {}
@@ -588,14 +579,11 @@ class PieriTreeSource:
 
     @property
     def store_size(self) -> int:
-        return len(self._store)
+        return len(self._tasks)
 
-    def _pattern_at(self, path: str) -> LocalizationPattern:
-        bottom = list(self._trivial.bottom)
-        for part in path.split("."):
-            bottom[int(part)] += 1
+    def _pattern(self, bottom: tuple[int, ...]) -> LocalizationPattern:
         prob = self._problem
-        return LocalizationPattern(prob.m, prob.p, prob.q, tuple(bottom))
+        return LocalizationPattern(prob.m, prob.p, prob.q, bottom)
 
     def _edge_jobs(
         self, path: str, pattern: LocalizationPattern, free: np.ndarray
@@ -613,9 +601,9 @@ class PieriTreeSource:
                 self._problem, pattern.bottom, inc.bottom, depth + 1, free,
                 self._options,
             )
+            self._tasks[edge_id] = task
             jobs.append(JobMessage(edge_id, "pieri-edge", task))
         if jobs:
-            self._store[path] = len(jobs)
             self.level_counts[depth + 1] = (
                 self.level_counts.get(depth + 1, 0) + len(jobs)
             )
@@ -623,50 +611,68 @@ class PieriTreeSource:
 
     def initial_jobs(self) -> list[JobMessage]:
         jobs = self._edge_jobs("", self._trivial, np.zeros(0, dtype=np.complex128))
-        self._level_outstanding = len(jobs)
+        self._outstanding = len(jobs)
         return jobs
 
     def on_result(self, result: ResultMessage) -> list[JobMessage]:
-        edge_id = str(result.job_id)
-        source_path = edge_id.rpartition(".")[0]
-        self._store[source_path] -= 1
-        if self._store[source_path] == 0:
-            del self._store[source_path]
-        self._level_results.append((edge_id, result))
-        self._level_outstanding -= 1
-        if self._level_outstanding > 0:
+        self._round.append(result)
+        if len(self._round) < self._outstanding:
             return []
-        return self._process_level()
-
-    def _process_level(self) -> list[JobMessage]:
-        entries = sorted(self._level_results, key=lambda e: e[0])
-        self._level_results = []
-        # per destination pattern: the (EdgeRecord, endpoint) pairs accepted
-        accepted: dict[tuple[int, ...], list[tuple[EdgeRecord, np.ndarray]]] = {}
+        # a re-tracked edge's job id is "<edge id>@<contour>"
+        entries = sorted(
+            (str(r.job_id).partition("@")[0], r) for r in self._round
+        )
+        self._round = []
+        groups: dict[tuple[int, ...], list[tuple[str, ResultMessage]]] = {}
         for edge_id, result in entries:
-            dest = self._pattern_at(edge_id)
-            depth = degrees_of_freedom(dest)
+            groups.setdefault(self._tasks[edge_id].dest_bottom, []).append(
+                (edge_id, result)
+            )
+        jobs = [job for bottom, group in groups.items()
+                for job in self._settle(bottom, group)]
+        if jobs:
+            self._contour += 1
+        else:
+            self._contour = 0
+            jobs = self._next_level()
+        self._outstanding = len(jobs)
+        return jobs
+
+    def _settle(
+        self, bottom: tuple[int, ...], group: list[tuple[str, ResultMessage]]
+    ) -> list[JobMessage]:
+        """Book one pattern's edges on this round's contour.
+
+        Returns the edges' jobs on the next contour if the pattern's pool
+        is still short of its edges; else hands out the pooled roots.
+        """
+        dest = self._pattern(bottom)
+        depth = degrees_of_freedom(dest)
+        pool = self._pools.setdefault(bottom, [])
+        held: list[np.ndarray] = []  # roots held on this contour
+        records = []
+        for edge_id, result in group:
             if result.status != "ok":
                 self.fatal.append(f"edge {edge_id}: {result.payload}")
-                record = EdgeRecord(edge_id, depth, dest.bottom, "error", 0, 0.0, 0.0, 0.0)
+                record = EdgeRecord(
+                    edge_id, depth, bottom, "error", 0, 0.0, 0.0, 0.0, self._contour
+                )
             else:
                 outcome: EdgeOutcome = result.payload
                 record = EdgeRecord(
-                    edge_id, depth, dest.bottom, outcome.status,
+                    edge_id, depth, bottom, outcome.status,
                     outcome.steps_used, outcome.start_residual,
                     outcome.start_min_pivot, outcome.start_scale, outcome.arc_used,
                 )
                 if outcome.status == "converged":
-                    group = accepted.setdefault(dest.bottom, [])
-                    if any(
-                        _coeff_distance(outcome.free, claimed) <= SAME_ROOT_TOL
-                        for _, claimed in group
-                    ):
-                        # the earlier edge in edge-id order keeps the root
-                        record.status = "collision"
+                    if _is_new_root(outcome.free, held):
+                        held.append(outcome.free)
+                        if _is_new_root(outcome.free, pool):
+                            pool.append(outcome.free)
                     else:
-                        group.append((record, outcome.free))
+                        record.status = "collision"
             self.edge_records.append(record)
+            records.append(record)
             if record.status == "start_violation":
                 self.fatal.append(
                     f"edge {edge_id}: start residual "
@@ -674,31 +680,41 @@ class PieriTreeSource:
                     f"{self._options.residual_tol:.0e} "
                     "(special plane or normalization contract broken)"
                 )
-            if record.status != "converged":
-                self.losses.append(
-                    LossRecord(
-                        edge_id, dest.bottom, record.status,
-                        count_paths(dest, self._target),
-                    )
+        retry = len(pool) < len(group) and self._contour + 1 < len(GAMMAS)
+        # a fatal error aborts the solve, so retrying would only repeat it
+        if retry and not self.fatal:
+            retries = []
+            for edge_id, _ in group:
+                task = replace(self._tasks[edge_id], contour=self._contour + 1)
+                self._tasks[edge_id] = task
+                retries.append(
+                    JobMessage(f"{edge_id}@{task.contour}", "pieri-edge", task)
                 )
-        survivors = sorted(
-            (record.edge_id, bottom, free)
-            for bottom, rows in accepted.items()
-            for record, free in rows
-        )
-        next_jobs: list[JobMessage] = []
-        for edge_id, bottom, free in survivors:
-            dest = LocalizationPattern(
-                self._problem.m, self._problem.p, self._problem.q, bottom
-            )
-            if degrees_of_freedom(dest) == self._problem.n:
-                self.solutions.append(
-                    solution_from_free(self._problem, dest, free)
-                )
+            return retries
+        del self._pools[bottom]
+        paths = count_paths(dest, self._target)
+        for i, ((edge_id, _), record) in enumerate(zip(group, records)):
+            del self._tasks[edge_id]
+            if i < len(pool):
+                self._survivors.append((edge_id, bottom, pool[i]))
             else:
-                next_jobs.extend(self._edge_jobs(edge_id, dest, free))
-        self._level_outstanding = len(next_jobs)
-        return next_jobs
+                # an edge that converged on the last contour did so onto a
+                # root the pool already gave away
+                status = "collision" if record.status == "converged" else record.status
+                self.losses.append(LossRecord(edge_id, bottom, status, paths))
+        return []
+
+    def _next_level(self) -> list[JobMessage]:
+        survivors = sorted(self._survivors, key=lambda s: s[0])
+        self._survivors = []
+        jobs: list[JobMessage] = []
+        for edge_id, bottom, free in survivors:
+            dest = self._pattern(bottom)
+            if degrees_of_freedom(dest) == self._problem.n:
+                self.solutions.append(solution_from_free(self._problem, dest, free))
+            else:
+                jobs.extend(self._edge_jobs(edge_id, dest, free))
+        return jobs
 
 
 def _canonical_key(sol: SolutionMap) -> tuple:
@@ -715,35 +731,8 @@ def _coeff_distance(a: np.ndarray, b: np.ndarray) -> float:
     )
 
 
-def _run_tree(
-    problem: ProblemInput,
-    original: ProblemInput,
-    workers: int,
-    options: TrackerOptions,
-) -> SolveResult:
-    """One full tree walk; solutions are rebuilt against the original."""
-    source = PieriTreeSource(problem, options)
-    run_dynamic(source, workers)
-    if source.fatal:
-        raise RuntimeError("solve aborted: " + "; ".join(sorted(source.fatal)))
-    assert source.store_size == 0, "node store must drain with the job tree"
-    accounted = len(source.solutions) + sum(l.paths_lost for l in source.losses)
-    root = pieri_root_count(problem.m, problem.p, problem.q)
-    assert accounted == root, f"accounted {accounted} of {root} paths"
-    solutions = source.solutions
-    if problem is not original:
-        solutions = [
-            solution_from_free(
-                original, s.pattern, free_coefficients(s.pattern, s.coefficients)
-            )
-            for s in solutions
-        ]
-    return SolveResult(
-        sorted(solutions, key=_canonical_key),
-        sorted(source.losses, key=lambda loss: loss.edge_id),
-        dict(sorted(source.level_counts.items())),
-        source.edge_records,
-    )
+def _is_new_root(free: np.ndarray, roots: list[np.ndarray]) -> bool:
+    return all(_coeff_distance(free, root) > SAME_ROOT_TOL for root in roots)
 
 
 def solve_pieri(
@@ -756,47 +745,24 @@ def solve_pieri(
     Solutions come back canonically sorted, so equal seeds give identical
     results for any worker count.  Edge jobs depend on their parent's
     coefficients, so the job kind fixes the schedule: the tree is walked
-    by dynamic dispatch.  A walk that loses paths (an edge failing at
-    every step size, or an endpoint collision, which the shared contour
-    should rule out but which is still checked) is retried under rotated
-    condition orderings.  The target system is the same, so the first
-    loss-free walk wins.  Failing that, the laws of the lossy walks are
-    pooled, distinct up to SAME_ROOT_TOL, and the pool wins once it holds
-    exactly the root count: the stopping rule of monodromy solving (Duff
-    et al., IMA J. Numer. Anal. 2019).  Else the walk that lost fewest is
-    returned.
+    once, by dynamic dispatch.  A pattern whose edges lose roots is
+    re-tracked on later contours (see PieriTreeSource); what that cannot
+    recover comes back as loss records.
     """
-    options = options or TrackerOptions()
+    source = PieriTreeSource(problem, options or TrackerOptions())
+    run_dynamic(source, workers)
+    if source.fatal:
+        raise RuntimeError("solve aborted: " + "; ".join(sorted(source.fatal)))
+    assert source.store_size == 0, "node store must drain with the job tree"
+    accounted = len(source.solutions) + sum(l.paths_lost for l in source.losses)
     root = pieri_root_count(problem.m, problem.p, problem.q)
-    best: SolveResult | None = None
-    pool: list[SolutionMap] = []
-    for roll in range(min(MAX_CONDITION_ORDERS, problem.n)):
-        attempt = problem
-        if roll:
-            attempt = ProblemInput(
-                problem.m, problem.p, problem.q, problem.seed,
-                np.roll(problem.planes, -roll, axis=0),
-                np.roll(problem.points, -roll),
-            )
-        result = _run_tree(attempt, problem, workers, options)
-        result.walks = roll + 1
-        if result.lost_paths == 0:
-            return result
-        for sol in result.solutions:
-            if all(
-                _coeff_distance(sol.coefficients, kept.coefficients) > SAME_ROOT_TOL
-                for kept in pool
-            ):
-                pool.append(sol)
-        if len(pool) == root:
-            return SolveResult(
-                sorted(pool, key=_canonical_key), [], result.level_counts,
-                result.edge_records, roll + 1,
-            )
-        if best is None or result.lost_paths < best.lost_paths:
-            best = result
-    best.walks = roll + 1
-    return best
+    assert accounted == root, f"accounted {accounted} of {root} paths"
+    return SolveResult(
+        sorted(source.solutions, key=_canonical_key),
+        sorted(source.losses, key=lambda loss: loss.edge_id),
+        dict(sorted(source.level_counts.items())),
+        source.edge_records,
+    )
 
 
 # ------------------------------------------------------------ verification

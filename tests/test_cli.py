@@ -66,7 +66,7 @@ def test_solve_writes_solution_file(tmp_path, capsys):
     assert "solutions: 2" in printed
     assert "max residual:" in printed
     assert "jobs per level:" in printed
-    assert "tree walks: 1\nwall time:" in printed
+    assert "contour retries: 0\nwall time:" in printed
 
 
 def test_solve_static_schedule_rejected(tmp_path, capsys):

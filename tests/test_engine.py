@@ -18,13 +18,16 @@ import pytest
 
 from pierihom import engine, tracker
 from pierihom.engine import (
-    GAMMA,
-    RETRY_LADDER,
+    GAMMAS,
+    SAME_ROOT_TOL,
     EdgeHomotopy,
     EdgeTask,
+    LossRecord,
     MapEvaluator,
+    PieriTreeSource,
     ProblemInput,
     SolutionMap,
+    _coeff_distance,
     condition_gradient,
     condition_residual,
     embed_start,
@@ -50,6 +53,7 @@ from pierihom.patterns import (
     target_pattern,
     trivial_pattern,
 )
+from pierihom.scheduler import run_dynamic
 from pierihom.tracker import GammaArc, PathResult, TrackerOptions, track_path
 
 
@@ -454,10 +458,11 @@ def test_fused_edge_kernels_match_condition_oracles(m, p, q, seed) -> None:
         assert np.array_equal(hom.jacobian_x(x, t), jac)
         assert np.array_equal(hom.dt(x, t), h_t)
         # the arc's pair is the base pair at phi(tau), H_t scaled by dphi/dtau
-        arc = GammaArc(hom, GAMMA)
+        gamma = GAMMAS[0]
+        arc = GammaArc(hom, gamma)
         tau = rng.uniform(0.1, 0.9)
-        phi = GAMMA * tau / (1 + (GAMMA - 1) * tau)
-        dphi = GAMMA / (1 + (GAMMA - 1) * tau) ** 2
+        phi = gamma * tau / (1 + (gamma - 1) * tau)
+        dphi = gamma / (1 + (gamma - 1) * tau) ** 2
         a_h, a_jac = arc.eval_jacobian(x, tau)
         base_h, base_jac = hom.eval_jacobian(x, phi)
         assert np.allclose(a_h, base_h, rtol=1e-12, atol=1e-14)
@@ -496,7 +501,7 @@ def test_one_condition_stack_per_linear_solve(monkeypatch) -> None:
 
     monkeypatch.setattr(engine._Layout, "assemble", counting_assemble)
     monkeypatch.setattr(tracker, "solve_linear", counting_solve)
-    res = track_path(GammaArc(hom, GAMMA), embed_start(source, free, dest))
+    res = track_path(GammaArc(hom, GAMMAS[0]), embed_start(source, free, dest))
     assert res.status == "converged"
     assert len(solves) >= res.newton_iters_total + res.steps_used
     # one stack per linear solve, plus the start and end residual checks
@@ -523,28 +528,27 @@ def test_first_edge_matches_linear_closed_form() -> None:
     assert outcome.start_min_pivot > 1e-10 * outcome.start_scale
 
 
-def test_edge_task_climbs_to_shrunk_steps(monkeypatch) -> None:
-    # the full-step track fails, so the edge must converge on rung 1: the
-    # same arc at h_max / 5
+def test_edge_task_tracks_once_on_its_contour(monkeypatch) -> None:
+    # a failed track is final: the worker tracks its edge exactly once, on
+    # GAMMAS[contour] at the options' own step sizes
     problem = ProblemInput.generate(2, 2, 0, 17)
     opts = TrackerOptions()
-    real_track = engine.track_path
     tracked = []
 
-    def full_steps_fail(hom, x0, path_opts):
-        tracked.append((hom.gamma, path_opts.h_max))
-        if path_opts.h_max == opts.h_max:
-            return PathResult("failed", x0, 0.0, 1.0, 1, 0)
-        return real_track(hom, x0, path_opts)
+    def failing_track(hom, x0, path_opts):
+        tracked.append((hom.gamma, path_opts))
+        return PathResult("failed", x0, 0.0, 1.0, 3, 0)
 
-    monkeypatch.setattr(engine, "track_path", full_steps_fail)
-    task = EdgeTask(problem, trivial_pattern(2, 2, 0).bottom, (1, 3), 1,
-                    np.zeros(0, dtype=np.complex128), opts)
-    outcome = task.run()
-    assert RETRY_LADDER[1] == 5.0
-    assert outcome.status == "converged"
-    assert outcome.arc_used == 1
-    assert tracked == [(GAMMA, opts.h_max), (GAMMA, opts.h_max / 5.0)]
+    monkeypatch.setattr(engine, "track_path", failing_track)
+    for contour, gamma in enumerate(GAMMAS):
+        tracked.clear()
+        task = EdgeTask(problem, trivial_pattern(2, 2, 0).bottom, (1, 3), 1,
+                        np.zeros(0, dtype=np.complex128), opts, contour)
+        outcome = task.run()
+        assert outcome.status == "failed" and outcome.free is None
+        assert outcome.arc_used == contour and outcome.steps_used == 3
+        assert tracked == [(gamma, opts)]
+        assert tracked[0][1].h_max == opts.h_max
 
 
 def test_edge_task_flags_start_violation() -> None:
@@ -648,11 +652,19 @@ def test_solutions_identical_across_worker_counts() -> None:
         problem, result = solved(2, 2, 1, 11, workers)
         texts.append(solutions_to_json(result, problem))
     assert texts[0] == texts[1] == texts[2]
+    # (2,2,1) seed 2 re-tracks two patterns on the next contour; the
+    # retried rounds must not depend on the worker count either
+    texts = []
+    for workers in (1, 2):
+        problem, result = solved(2, 2, 1, 2, workers)
+        assert any(rec.contour > 0 for rec in result.edge_records)
+        texts.append(solutions_to_json(result, problem))
+    assert texts[0] == texts[1]
 
 
 def test_induced_failures_are_accounted_not_dropped() -> None:
-    # an impossibly small step budget fails every first-level path; the
-    # lost subtrees must add up to the full root count
+    # an impossibly small step budget fails every first-level path on every
+    # contour; the lost subtrees must add up to the full root count
     problem = ProblemInput.generate(2, 2, 1, 3)
     opts = TrackerOptions(max_steps=1, h_init=1e-8, h_min=1e-8, h_max=1e-8)
     result = solve_pieri(problem, options=opts)
@@ -663,12 +675,10 @@ def test_induced_failures_are_accounted_not_dropped() -> None:
         assert loss.paths_lost == count_paths(
             LocalizationPattern(2, 2, 1, loss.pattern), target_pattern(2, 2, 1)
         )
+    assert {rec.contour for rec in result.edge_records} == set(range(len(GAMMAS)))
 
 
 def test_node_store_is_released() -> None:
-    from pierihom.engine import PieriTreeSource
-    from pierihom.scheduler import run_dynamic
-
     problem = ProblemInput.generate(2, 2, 0, 2)
     source = PieriTreeSource(problem, TrackerOptions())
     run_dynamic(source, workers=2)
@@ -677,64 +687,74 @@ def test_node_store_is_released() -> None:
 
 
 def test_unresolved_collision_becomes_loss(monkeypatch) -> None:
-    # force the second endpoint arriving at some pattern onto the first
-    # one's root: the later edge in edge-id order must become a "collision"
-    # loss while the earlier claim keeps its spot and its subtree
-    from pierihom.engine import LossRecord, PieriTreeSource
-    from pierihom.scheduler import run_dynamic
-
+    # force endpoints arriving at some pattern onto the root of the first
+    # one there.  Forced on contour 0 only, the pattern is re-tracked on
+    # contour 1 and keeps both roots.  Forced on every contour, the pool
+    # never grows past that one root: the later edge in edge-id order
+    # becomes a "collision" loss while the earlier one keeps the root and
+    # its subtree
     problem = ProblemInput.generate(2, 2, 0, 1)
-    source = PieriTreeSource(problem, TrackerOptions())
-    first = {}
-    forced = []
-    starts = []
     real_run = EdgeTask.run
 
-    def colliding_run(task):
-        starts.append((task.source_bottom, task.source_free))
-        outcome = real_run(task)
-        if outcome.status != "converged":
-            return outcome
-        dest = task.dest_bottom
-        if dest not in first:
-            first[dest] = outcome.free
-        elif not forced:
-            forced.append(dest)
-            outcome = replace(outcome, free=first[dest].copy())
-        return outcome
+    def solve_with_collisions(every_contour: bool):
+        source = PieriTreeSource(problem, TrackerOptions())
+        first, forced, starts = {}, [], []
 
-    monkeypatch.setattr(EdgeTask, "run", colliding_run)
-    run_dynamic(source, workers=1)
-    assert len(forced) == 1
-    pattern = forced[0]
+        def colliding_run(task):
+            starts.append((task.source_bottom, task.source_free))
+            outcome = real_run(task)
+            if outcome.status != "converged":
+                return outcome
+            dest = task.dest_bottom
+            if dest not in first:
+                first[dest] = outcome.free
+            elif not forced or (every_contour and forced == [dest]):
+                forced[:] = [dest]
+                outcome = replace(outcome, free=first[dest].copy())
+            return outcome
+
+        monkeypatch.setattr(EdgeTask, "run", colliding_run)
+        run_dynamic(source, workers=1)
+        assert len(forced) == 1
+        lost = sum(loss.paths_lost for loss in source.losses)
+        assert len(source.solutions) + lost == pieri_root_count(2, 2, 0)
+        return source, forced[0], first[forced[0]], starts
+
+    source, pattern, _, _ = solve_with_collisions(every_contour=False)
+    assert source.losses == []
+    assert len(source.solutions) == 2
     collided = [rec for rec in source.edge_records if rec.status == "collision"]
-    assert len(collided) == 1 and collided[0].pattern == pattern
+    assert len(collided) == 1 and collided[0].contour == 0
+    assert collided[0].pattern == pattern
+    retried = [rec for rec in source.edge_records if rec.contour > 0]
+    assert retried and all(rec.pattern == pattern for rec in retried)
+    assert all(rec.contour == 1 and rec.status == "converged" for rec in retried)
+
+    source, pattern, root, starts = solve_with_collisions(every_contour=True)
+    collided = [rec for rec in source.edge_records if rec.status == "collision"]
+    assert [rec.contour for rec in collided] == list(range(len(GAMMAS)))
+    edge_id = collided[0].edge_id
+    assert all(rec.edge_id == edge_id and rec.pattern == pattern for rec in collided)
     dest = LocalizationPattern(2, 2, 0, pattern)
     paths = count_paths(dest, target_pattern(2, 2, 0))
-    assert source.losses == [
-        LossRecord(collided[0].edge_id, pattern, "collision", paths)
-    ]
+    assert source.losses == [LossRecord(edge_id, pattern, "collision", paths)]
     # the earlier edge keeps the claimed root and goes on from it
     kept = [
         rec for rec in source.edge_records
         if rec.pattern == pattern and rec.status == "converged"
     ]
-    assert len(kept) == 1 and kept[0].edge_id < collided[0].edge_id
-    root = first[pattern]
+    assert {rec.edge_id for rec in kept} == {kept[0].edge_id}
+    assert kept[0].edge_id < edge_id
     if degrees_of_freedom(dest) == problem.n:
         kept_roots = [free_coefficients(dest, s.coefficients) for s in source.solutions]
     else:
         kept_roots = [free for bottom, free in starts if bottom == pattern]
     assert kept_roots and any(np.array_equal(free, root) for free in kept_roots)
-    lost = sum(loss.paths_lost for loss in source.losses)
-    assert len(source.solutions) + lost == pieri_root_count(2, 2, 0)
 
 
 def test_every_track_runs_on_a_worker(monkeypatch) -> None:
     # the solve of (2,2,1) seed 12 must return 8 distinct laws, and the
     # master must never track a path itself
-    from pierihom.engine import SAME_ROOT_TOL, _coeff_distance
-
     problem = ProblemInput.generate(2, 2, 1, 12)
     inside = threading.local()
     outside = []
@@ -764,13 +784,10 @@ def test_every_track_runs_on_a_worker(monkeypatch) -> None:
 
 
 def test_retrack_steps_and_rungs_land_on_their_edges(monkeypatch) -> None:
-    # the first track of a (2,2,1) seed 12 walk fails at full steps, so its
-    # edge ends on rung 1: every edge's record carries exactly its worker's
-    # steps and rung, and together they account for every step tracked in
-    # the walk, the failed track's included
-    from pierihom.engine import PieriTreeSource
-    from pierihom.scheduler import run_dynamic
-
+    # the first track of a (2,2,1) seed 12 walk fails, so its pattern is
+    # re-tracked on contour 1: every record carries exactly its worker's
+    # steps and contour, and together the records account for every step
+    # tracked in the walk, the failed track's included
     problem = ProblemInput.generate(2, 2, 1, 12)
     source = PieriTreeSource(problem, TrackerOptions())
     tracked = []
@@ -792,62 +809,131 @@ def test_retrack_steps_and_rungs_land_on_their_edges(monkeypatch) -> None:
     monkeypatch.setattr(engine, "track_path", counting_track)
     monkeypatch.setattr(PieriTreeSource, "on_result", recording_on_result)
     run_dynamic(source, workers=1)
+    assert source.losses == [] and len(source.solutions) == 8
     assert any(
-        rec.rung == 1 and rec.status == "converged" for rec in source.edge_records
+        rec.contour == 1 and rec.status == "converged" for rec in source.edge_records
     )
+    assert len(source.edge_records) == len(outcomes) == len(tracked)
     for rec in source.edge_records:
-        assert rec.steps_used == outcomes[rec.edge_id].steps_used
-        assert rec.rung == outcomes[rec.edge_id].arc_used
+        job_id = f"{rec.edge_id}@{rec.contour}" if rec.contour else rec.edge_id
+        assert rec.steps_used == outcomes[job_id].steps_used
+        assert rec.contour == outcomes[job_id].arc_used
     assert sum(rec.steps_used for rec in source.edge_records) == sum(tracked)
 
 
-def test_rotated_walks_pool_their_laws(monkeypatch) -> None:
-    # each of the first two walks of (2,2,1) seed 11 is forced to lose a
-    # different law at a leaf edge; the laws of the two walks together
-    # make all 8
-    from pierihom.engine import SAME_ROOT_TOL, _coeff_distance
+def test_lossy_pattern_retracks_on_next_contour(monkeypatch) -> None:
+    # one of the four edges into a depth-5 pattern of (2,2,1) seed 5 is
+    # forced to fail on contour 0: every edge into that pattern, and no
+    # other edge, is tracked again on GAMMAS[1], within the one tree walk
+    problem = ProblemInput.generate(2, 2, 1, 5)
+    real_run, real_dynamic = EdgeTask.run, engine.run_dynamic
+    walks, failed, tracked = [], [], []
 
-    problem = ProblemInput.generate(2, 2, 1, 11)
-    real_run_tree, real_run = engine._run_tree, EdgeTask.run
-    walks = []
-    dropped = {}  # walk's problem -> the law its failed leaf edge reached
+    def counting_dynamic(source, workers, event_log=None):
+        walks.append(source)
+        return real_dynamic(source, workers, event_log)
 
-    def recording_run_tree(attempt, original, workers, options):
-        result = real_run_tree(attempt, original, workers, options)
-        walks.append(result)
-        return result
-
-    def dropping_run(task):
+    def failing_run(task):
+        tracked.append((task.dest_bottom, task.contour))
         outcome = real_run(task)
-        if (
-            task.cond_index == problem.n
-            and outcome.status == "converged"
-            and task.problem not in dropped
-            and all(
-                _coeff_distance(outcome.free, law) > SAME_ROOT_TOL
-                for law in dropped.values()
-            )
-        ):
-            dropped[task.problem] = outcome.free
+        if task.cond_index == 5 and not failed:
+            failed.append(task.dest_bottom)
             return replace(outcome, status="failed", free=None)
         return outcome
 
-    monkeypatch.setattr(engine, "_run_tree", recording_run_tree)
-    monkeypatch.setattr(EdgeTask, "run", dropping_run)
+    monkeypatch.setattr(engine, "run_dynamic", counting_dynamic)
+    monkeypatch.setattr(EdgeTask, "run", failing_run)
     result = solve_pieri(problem)
-    assert len(walks) == 2 and result.walks == 2
-    assert [walk.lost_paths for walk in walks] == [1, 1]
+    assert len(walks) == 1
+    pattern = failed[0]
+    edges_in = [bottom for bottom, contour in tracked if contour == 0]
+    retried = [bottom for bottom, contour in tracked if contour > 0]
+    assert edges_in.count(pattern) == 4
+    assert retried == [pattern] * 4
+    assert [rec.contour for rec in result.edge_records if rec.pattern == pattern] == (
+        [0] * 4 + [1] * 4
+    )
     assert len(result.solutions) == pieri_root_count(2, 2, 1) == 8
     assert result.losses == []
     report = verify(result.solutions, problem)
     assert report.max_residual <= 1e-8
     assert report.min_distance > 1e-4
-    found = [sol for walk in walks for sol in walk.solutions]
-    for sol in result.solutions:
+
+
+def test_pattern_pool_fills_across_contours(monkeypatch) -> None:
+    # one leaf edge of (2,2,1) seed 5 is forced to fail on contour 0, and
+    # another edge, whose law differs from the first one's, on contour 1.
+    # Neither contour alone reaches all 8 laws; the pool of both does
+    problem = ProblemInput.generate(2, 2, 1, 5)
+    real_run = EdgeTask.run
+    dropped = {}  # contour -> (forced edge's start, the law it would reach)
+
+    def dropping_run(task):
+        outcome = real_run(task)
+        start = task.source_free.tobytes()
+        if (
+            task.cond_index == problem.n
+            and outcome.status == "converged"
+            and task.contour not in dropped
+            and all(
+                start != other and _coeff_distance(outcome.free, law) > SAME_ROOT_TOL
+                for other, law in dropped.values()
+            )
+        ):
+            dropped[task.contour] = (start, outcome.free)
+            return replace(outcome, status="failed", free=None)
+        return outcome
+
+    monkeypatch.setattr(EdgeTask, "run", dropping_run)
+    result = solve_pieri(problem)
+    assert sorted(dropped) == [0, 1]
+    leaf = [rec for rec in result.edge_records if rec.depth == problem.n]
+    assert [rec.contour for rec in leaf] == [0] * 8 + [1] * 8
+    assert [rec.status for rec in leaf].count("failed") == 2
+    assert len(result.solutions) == pieri_root_count(2, 2, 1) == 8
+    assert result.losses == []
+    report = verify(result.solutions, problem)
+    assert report.max_residual <= 1e-8
+    assert report.min_distance > 1e-4
+    # each forced edge's law came from the other contour
+    for _, law in dropped.values():
         assert any(
-            _coeff_distance(sol.coefficients, law.coefficients) <= SAME_ROOT_TOL
-            for law in found
+            _coeff_distance(free_coefficients(sol.pattern, sol.coefficients), law)
+            <= SAME_ROOT_TOL
+            for sol in result.solutions
         )
+
+
+def test_pattern_lost_on_every_contour_is_one_loss(monkeypatch) -> None:
+    # the one edge into pattern (1,4) of (2,2,1) seed 5 fails on every
+    # contour: its whole subtree is one loss, and the rest of the tree
+    # still solves
+    problem = ProblemInput.generate(2, 2, 1, 5)
+    real_run = EdgeTask.run
+    target = target_pattern(2, 2, 1)
+    dest = (1, 4)
+    assert count_paths(LocalizationPattern(2, 2, 1, dest), target) > 0
+
+    def failing_run(task):
+        outcome = real_run(task)
+        if task.dest_bottom == dest:
+            return replace(outcome, status="failed", free=None)
+        return outcome
+
+    monkeypatch.setattr(EdgeTask, "run", failing_run)
+    result = solve_pieri(problem)
+    paths = count_paths(LocalizationPattern(2, 2, 1, dest), target)
+    assert [(l.pattern, l.status, l.paths_lost) for l in result.losses] == [
+        (dest, "failed", paths)
+    ]
+    assert [rec.contour for rec in result.edge_records if rec.pattern == dest] == (
+        list(range(len(GAMMAS)))
+    )
+    assert len(result.solutions) + result.lost_paths == pieri_root_count(2, 2, 1)
+    assert len(result.solutions) == 8 - paths
+    report = verify(result.solutions, problem)
+    assert report.max_residual <= 1e-8
+    assert report.duplicates == []
 
 
 def test_top_rung_2_2_2_finds_all_laws() -> None:
@@ -863,45 +949,10 @@ def test_top_rung_2_2_2_finds_all_laws() -> None:
     assert report.min_distance > 1e-4
 
 
-def test_condition_rotation_recovers_lost_walk(monkeypatch) -> None:
-    # the first edge of the (2,2,1) seed 5 walk under the given condition
-    # order is forced to fail; the first rotation must find all 8 laws, and
-    # they must solve the problem as given, not the rotated one
-    problem = ProblemInput.generate(2, 2, 1, 5)
-    real_run_tree, real_run = engine._run_tree, EdgeTask.run
-    walks = []
-    failed = []
-
-    def recording_run_tree(attempt, original, workers, options):
-        result = real_run_tree(attempt, original, workers, options)
-        walks.append(result)
-        return result
-
-    def failing_run(task):
-        outcome = real_run(task)
-        if task.problem is problem and not failed:
-            failed.append(task)
-            return replace(outcome, status="failed", free=None)
-        return outcome
-
-    monkeypatch.setattr(engine, "_run_tree", recording_run_tree)
-    monkeypatch.setattr(EdgeTask, "run", failing_run)
-    result = solve_pieri(problem)
-    assert len(walks) == 2
-    assert walks[0].lost_paths > 0
-    assert result is walks[1]
-    assert result.walks == 2
-    assert len(result.solutions) == pieri_root_count(2, 2, 1) == 8
-    assert result.losses == []
-    report = verify(result.solutions, problem)
-    assert report.max_residual <= 1e-8
-    assert report.min_distance > 1e-4
-
-
 def test_collide_seeds_solve_in_one_walk_on_one_contour(monkeypatch) -> None:
     # (2,2,1) seeds 5, 15 and 12 lose paths to endpoint collisions when the
     # edges into one pattern take different contours; on the one shared
-    # contour each solves in a single walk without a collision
+    # contour each solves without a collision or a retry
     gammas = set()
     real_track = engine.track_path
 
@@ -912,10 +963,9 @@ def test_collide_seeds_solve_in_one_walk_on_one_contour(monkeypatch) -> None:
     monkeypatch.setattr(engine, "track_path", recording_track)
     for seed in (5, 15, 12):
         result = solve_pieri(ProblemInput.generate(2, 2, 1, seed))
-        assert result.walks == 1
         assert result.losses == []
         assert all(rec.status != "collision" for rec in result.edge_records)
-    assert gammas == {GAMMA}
+    assert gammas == {GAMMAS[0]}
 
 
 # ---------------------------------------------------- verify and JSON

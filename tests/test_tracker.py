@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from pierihom.engine import GAMMA
+from pierihom.engine import GAMMAS
 from pierihom.polysys import Homotopy, PolySystem, Term, total_degree_start
 from pierihom.tracker import GammaArc, PathResult, TrackerOptions, track_all, track_path
 
@@ -276,10 +276,12 @@ def test_gamma_arc_rejects_real_nonpositive_gamma() -> None:
     for gamma in (-1.0, -0.5, 0.0, complex(-2.0, 0.0)):
         with pytest.raises(ValueError):
             GammaArc(SqrtEvaluator(), gamma)
-    arc = GammaArc(SqrtEvaluator(), GAMMA)
-    taus = np.linspace(0.0, 1.0, 1001)
-    assert np.all(np.abs(1.0 + (arc.gamma - 1.0) * taus) > 0.1)
-    assert arc._t(0.0) == 0 and abs(arc._t(1.0) - 1.0) <= 1e-15
-    res = track_path(arc, [1.0])
-    assert res.status == "converged"
-    assert abs(res.endpoint[0] - 2.0) <= 1e-8
+    # every contour the solver tracks on stays clear of the pole
+    for gamma in GAMMAS:
+        arc = GammaArc(SqrtEvaluator(), gamma)
+        taus = np.linspace(0.0, 1.0, 1001)
+        assert np.all(np.abs(1.0 + (arc.gamma - 1.0) * taus) > 0.1)
+        assert arc._t(0.0) == 0 and abs(arc._t(1.0) - 1.0) <= 1e-15
+        res = track_path(arc, [1.0])
+        assert res.status == "converged"
+        assert abs(res.endpoint[0] - 2.0) <= 1e-8
