@@ -8,8 +8,9 @@ Subcommands:
 Exit codes: 0 success, 1 solve finished with lost paths, 2 usage or
 input error.  Every subcommand is deterministic given its seed and flags;
 parallelism lives entirely in the scheduler module.  Only ``track`` takes
-``--schedule``: its paths are independent, while ``solve``'s edge jobs
-depend on their parents and always run under dynamic dispatch.
+``--schedule``: its paths are independent.  ``solve`` runs one round per
+tree level, since an edge starts from its parent's endpoint; a round's
+jobs are independent and always run under dynamic dispatch.
 """
 from __future__ import annotations
 

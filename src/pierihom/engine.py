@@ -417,7 +417,6 @@ class EdgeOutcome:
 
     status: str  # "converged" | "diverged" | "failed" | "start_violation"
     free: np.ndarray | None
-    residual: float
     steps_used: int
     start_residual: float
     start_min_pivot: float
@@ -462,14 +461,13 @@ class EdgeTask:
         f = lu_decompose(hom.jacobian_x(x0, 0.0))
         if start_residual > self.options.residual_tol:
             return EdgeOutcome(
-                "start_violation", None, start_residual, 0,
-                start_residual, f.min_pivot, f.scale,
+                "start_violation", None, 0, start_residual, f.min_pivot, f.scale,
             )
         res = track_path(GammaArc(hom, GAMMAS[self.contour]), x0, self.options)
         free = res.endpoint if res.status == "converged" else None
         return EdgeOutcome(
-            res.status, free, res.residual, res.steps_used,
-            start_residual, f.min_pivot, f.scale, self.contour,
+            res.status, free, res.steps_used, start_residual, f.min_pivot,
+            f.scale, self.contour,
         )
 
 
@@ -540,24 +538,26 @@ class SolveResult:
 
 
 class PieriTreeSource:
-    """Dependency-aware job source walking the pattern tree level by level.
+    """The master's bookkeeping for the pattern tree, one round at a time.
 
-    The master owns all bookkeeping: an edge's task, and with it its source
-    node, is kept only until the edge is settled, follow-ups for a depth
-    are issued once the whole depth has settled, and failed edges become
-    loss records covering their subtree.  Paths into one pattern must land
-    on distinct roots of one condition system, so the pattern is the unit
-    of recovery.  Its converged endpoints are pooled, distinct up to
-    SAME_ROOT_TOL; within one contour, an endpoint on a root an earlier
-    edge in edge-id order already holds is a "collision".  While the pool
-    holds fewer roots than the pattern has edges, every edge into it is
-    tracked again on the next contour of GAMMAS.  Each contour pairs starts
-    with roots anew, so the pool fills as in monodromy solving (Duff et
-    al., IMA J. Numer. Anal. 2019).  Then the pooled roots go to the edges
-    in edge-id order, and an edge left without one is a loss.  The master
-    only books; every path is tracked by a worker.  Results are processed
-    in edge-id order, which keeps everything deterministic for any worker
-    count.
+    A round is one level of the tree, or one retry contour of that level's
+    short patterns.  Its edge jobs are independent; ``on_result`` books
+    all of their results and returns the next round's jobs.  An edge's
+    task, and with it its source node, is kept only until the edge is
+    settled, and failed edges become loss records covering their subtree.
+    Paths into one pattern must land on distinct roots of one condition
+    system, so the pattern is the unit of recovery.  Its converged
+    endpoints are pooled, distinct up to SAME_ROOT_TOL; within one
+    contour, an endpoint on a root an earlier edge in edge-id order
+    already holds is a "collision".  While the pool holds fewer roots than
+    the pattern has edges, every edge into it is tracked again on the next
+    contour of GAMMAS.  Each contour pairs starts with roots anew, so the
+    pool fills as in monodromy solving (Duff et al., IMA J. Numer. Anal.
+    2019).  Then the pooled roots go to the edges, those that converged on
+    the last contour first, and an edge left without one is a loss.  The
+    master only books; every path is tracked by a worker.  Results are
+    processed in edge-id order, which keeps everything deterministic for
+    any worker count.
     """
 
     def __init__(self, problem: ProblemInput, options: TrackerOptions):
@@ -568,14 +568,11 @@ class PieriTreeSource:
         self._tasks: dict[str, EdgeTask] = {}  # the level's unsettled edges
         self._pools: dict[tuple[int, ...], list[np.ndarray]] = {}
         self._survivors: list[tuple[str, tuple[int, ...], np.ndarray]] = []
-        self._round: list[ResultMessage] = []
-        self._outstanding = 0
         self._contour = 0  # every job of one round tracks this contour
         self.solutions: list[SolutionMap] = []
         self.losses: list[LossRecord] = []
         self.level_counts: dict[int, int] = {}
         self.edge_records: list[EdgeRecord] = []
-        self.fatal: list[str] = []
 
     @property
     def store_size(self) -> int:
@@ -602,7 +599,7 @@ class PieriTreeSource:
                 self._options,
             )
             self._tasks[edge_id] = task
-            jobs.append(JobMessage(edge_id, "pieri-edge", task))
+            jobs.append(JobMessage(edge_id, task))
         if jobs:
             self.level_counts[depth + 1] = (
                 self.level_counts.get(depth + 1, 0) + len(jobs)
@@ -610,36 +607,41 @@ class PieriTreeSource:
         return jobs
 
     def initial_jobs(self) -> list[JobMessage]:
-        jobs = self._edge_jobs("", self._trivial, np.zeros(0, dtype=np.complex128))
-        self._outstanding = len(jobs)
-        return jobs
+        return self._edge_jobs("", self._trivial, np.zeros(0, dtype=np.complex128))
 
-    def on_result(self, result: ResultMessage) -> list[JobMessage]:
-        self._round.append(result)
-        if len(self._round) < self._outstanding:
-            return []
-        # a re-tracked edge's job id is "<edge id>@<contour>"
-        entries = sorted(
-            (str(r.job_id).partition("@")[0], r) for r in self._round
-        )
-        self._round = []
-        groups: dict[tuple[int, ...], list[tuple[str, ResultMessage]]] = {}
-        for edge_id, result in entries:
-            groups.setdefault(self._tasks[edge_id].dest_bottom, []).append(
-                (edge_id, result)
-            )
+    def on_result(self, results: list[ResultMessage]) -> list[JobMessage]:
+        """Book one round's results and return the next round's jobs.
+
+        A worker error or a broken start contract aborts the solve right
+        after the round that holds it.
+        """
+        results = sorted(results, key=lambda r: r.job_id)
+        errors = []
+        for r in results:
+            if r.status != "ok":
+                errors.append(f"edge {r.job_id}: {r.payload}")
+            elif r.payload.status == "start_violation":
+                errors.append(
+                    f"edge {r.job_id}: start residual "
+                    f"{r.payload.start_residual:.3e} exceeds "
+                    f"{self._options.residual_tol:.0e} "
+                    "(special plane or normalization contract broken)"
+                )
+        if errors:
+            raise RuntimeError("solve aborted: " + "; ".join(sorted(errors)))
+        groups: dict[tuple[int, ...], list[ResultMessage]] = {}
+        for r in results:
+            groups.setdefault(self._tasks[r.job_id].dest_bottom, []).append(r)
         jobs = [job for bottom, group in groups.items()
                 for job in self._settle(bottom, group)]
         if jobs:
             self._contour += 1
-        else:
-            self._contour = 0
-            jobs = self._next_level()
-        self._outstanding = len(jobs)
-        return jobs
+            return jobs
+        self._contour = 0
+        return self._next_level()
 
     def _settle(
-        self, bottom: tuple[int, ...], group: list[tuple[str, ResultMessage]]
+        self, bottom: tuple[int, ...], group: list[ResultMessage]
     ) -> list[JobMessage]:
         """Book one pattern's edges on this round's contour.
 
@@ -651,57 +653,47 @@ class PieriTreeSource:
         pool = self._pools.setdefault(bottom, [])
         held: list[np.ndarray] = []  # roots held on this contour
         records = []
-        for edge_id, result in group:
-            if result.status != "ok":
-                self.fatal.append(f"edge {edge_id}: {result.payload}")
-                record = EdgeRecord(
-                    edge_id, depth, bottom, "error", 0, 0.0, 0.0, 0.0, self._contour
-                )
-            else:
-                outcome: EdgeOutcome = result.payload
-                record = EdgeRecord(
-                    edge_id, depth, bottom, outcome.status,
-                    outcome.steps_used, outcome.start_residual,
-                    outcome.start_min_pivot, outcome.start_scale, outcome.arc_used,
-                )
-                if outcome.status == "converged":
-                    if _is_new_root(outcome.free, held):
-                        held.append(outcome.free)
-                        if _is_new_root(outcome.free, pool):
-                            pool.append(outcome.free)
-                    else:
-                        record.status = "collision"
+        for result in group:
+            outcome: EdgeOutcome = result.payload
+            record = EdgeRecord(
+                result.job_id, depth, bottom, outcome.status,
+                outcome.steps_used, outcome.start_residual,
+                outcome.start_min_pivot, outcome.start_scale, outcome.arc_used,
+            )
+            if outcome.status == "converged":
+                if _is_new_root(outcome.free, held):
+                    held.append(outcome.free)
+                    if _is_new_root(outcome.free, pool):
+                        pool.append(outcome.free)
+                else:
+                    record.status = "collision"
             self.edge_records.append(record)
             records.append(record)
-            if record.status == "start_violation":
-                self.fatal.append(
-                    f"edge {edge_id}: start residual "
-                    f"{record.start_residual:.3e} exceeds "
-                    f"{self._options.residual_tol:.0e} "
-                    "(special plane or normalization contract broken)"
-                )
-        retry = len(pool) < len(group) and self._contour + 1 < len(GAMMAS)
-        # a fatal error aborts the solve, so retrying would only repeat it
-        if retry and not self.fatal:
+        if len(pool) < len(group) and self._contour + 1 < len(GAMMAS):
             retries = []
-            for edge_id, _ in group:
-                task = replace(self._tasks[edge_id], contour=self._contour + 1)
-                self._tasks[edge_id] = task
-                retries.append(
-                    JobMessage(f"{edge_id}@{task.contour}", "pieri-edge", task)
-                )
+            for record in records:
+                task = replace(self._tasks[record.edge_id], contour=self._contour + 1)
+                self._tasks[record.edge_id] = task
+                retries.append(JobMessage(record.edge_id, task))
             return retries
         del self._pools[bottom]
         paths = count_paths(dest, self._target)
-        for i, ((edge_id, _), record) in enumerate(zip(group, records)):
-            del self._tasks[edge_id]
-            if i < len(pool):
-                self._survivors.append((edge_id, bottom, pool[i]))
+        # the roots held on this contour are pooled, so every edge that
+        # converged here gets a root, and losses fall on the edges that
+        # failed, diverged or collided
+        ranked = sorted(
+            range(len(records)), key=lambda i: records[i].status != "converged"
+        )
+        kept = set(ranked[: len(pool)])
+        roots = iter(pool)
+        for i, record in enumerate(records):
+            del self._tasks[record.edge_id]
+            if i in kept:
+                self._survivors.append((record.edge_id, bottom, next(roots)))
             else:
-                # an edge that converged on the last contour did so onto a
-                # root the pool already gave away
-                status = "collision" if record.status == "converged" else record.status
-                self.losses.append(LossRecord(edge_id, bottom, status, paths))
+                self.losses.append(
+                    LossRecord(record.edge_id, bottom, record.status, paths)
+                )
         return []
 
     def _next_level(self) -> list[JobMessage]:
@@ -743,16 +735,16 @@ def solve_pieri(
     """Track every tree path from the trivial pattern to the target.
 
     Solutions come back canonically sorted, so equal seeds give identical
-    results for any worker count.  Edge jobs depend on their parent's
-    coefficients, so the job kind fixes the schedule: the tree is walked
-    once, by dynamic dispatch.  A pattern whose edges lose roots is
-    re-tracked on later contours (see PieriTreeSource); what that cannot
-    recover comes back as loss records.
+    results for any worker count.  The tree is solved one round at a time:
+    a round is one level's edge jobs, or one retry contour of that level's
+    short patterns (see PieriTreeSource).  Its jobs are independent and run
+    as one ``run_dynamic`` batch, and its endpoints start the next round.
+    What the contours cannot recover comes back as loss records.
     """
     source = PieriTreeSource(problem, options or TrackerOptions())
-    run_dynamic(source, workers)
-    if source.fatal:
-        raise RuntimeError("solve aborted: " + "; ".join(sorted(source.fatal)))
+    jobs = source.initial_jobs()
+    while jobs:
+        jobs = source.on_result(run_dynamic(jobs, workers))
     assert source.store_size == 0, "node store must drain with the job tree"
     accounted = len(source.solutions) + sum(l.paths_lost for l in source.losses)
     root = pieri_root_count(problem.m, problem.p, problem.q)

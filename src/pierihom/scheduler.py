@@ -9,11 +9,9 @@ transport could replace the queues without touching job logic.
 
 Payloads are self-contained: anything with a ``run()`` method.  A payload
 exception becomes a ResultMessage with status "error"; there is no retry.
-
-The job kind fixes the schedule.  "pieri-edge" jobs need their parent's
-endpoint, so only ``run_dynamic`` against a dependency-aware source can
-serve them; "independent-path" jobs run under either ``run_static``
-(round-robin pre-partition) or ``run_dynamic`` with identical results.
+Both entry points run one batch of independent jobs: ``run_static``
+pre-partitions it round-robin, ``run_dynamic`` hands jobs to idle workers
+first come, first served.  The payloads' results do not depend on which.
 """
 from __future__ import annotations
 
@@ -22,19 +20,18 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Iterable, Protocol
+from typing import Any, Iterable
 
 
 @dataclass(frozen=True)
 class JobMessage:
-    """One unit of work; kind is 'independent-path' or 'pieri-edge'.
+    """One unit of work.
 
-    Ids must be unique per run but are otherwise opaque; tree-structured
-    sources use path strings so ids stay stable across worker counts.
+    Ids must be unique per run but are otherwise opaque; the Pieri solve
+    uses tree-edge path strings so ids stay stable across worker counts.
     """
 
     job_id: int | str
-    kind: str
     payload: Any
 
 
@@ -43,7 +40,6 @@ class ResultMessage:
     """Exactly one of these comes back per dispatched JobMessage."""
 
     job_id: int | str
-    kind: str
     status: str  # "ok" | "error"
     payload: Any
     worker_id: int
@@ -53,27 +49,6 @@ class ResultMessage:
     @property
     def duration(self) -> float:
         return self.finished - self.started
-
-
-class JobSource(Protocol):
-    """Dependency-aware job generator driven by the dynamic master."""
-
-    def initial_jobs(self) -> Iterable[JobMessage]: ...
-
-    def on_result(self, result: ResultMessage) -> Iterable[JobMessage]: ...
-
-
-class ListSource:
-    """A JobSource over a fixed list: all jobs up front, no follow-ups."""
-
-    def __init__(self, jobs: Iterable[JobMessage]):
-        self._jobs = list(jobs)
-
-    def initial_jobs(self) -> list[JobMessage]:
-        return list(self._jobs)
-
-    def on_result(self, result: ResultMessage) -> list[JobMessage]:
-        return []
 
 
 _TERMINATE = object()
@@ -95,7 +70,6 @@ def _worker_loop(worker_id: int, inbox: queue.Queue, outbox: queue.Queue) -> Non
         outbox.put(
             ResultMessage(
                 job_id=msg.job_id,
-                kind=msg.kind,
                 status=status,
                 payload=value,
                 worker_id=worker_id,
@@ -129,7 +103,7 @@ class _Pool:
             )
 
     def send(self, worker: int, job: JobMessage) -> None:
-        self.log("dispatch", job_id=job.job_id, kind=job.kind, worker=worker)
+        self.log("dispatch", job_id=job.job_id, worker=worker)
         self.inboxes[worker].put(job)
 
     def shutdown(self) -> None:
@@ -165,49 +139,33 @@ def run_static(
 
 
 def run_dynamic(
-    source: JobSource, workers: int, event_log: list[dict] | None = None
+    jobs: Iterable[JobMessage], workers: int, event_log: list[dict] | None = None
 ) -> list[ResultMessage]:
-    """First-come-first-serve dispatch against a dependency-aware source.
+    """First-come-first-serve dispatch for jobs with no inter-dependencies.
 
-    The master keeps a FIFO ready queue and a FIFO idle-worker queue,
-    dispatches whenever both are non-empty, and feeds every result back to
-    the source, which may yield follow-up jobs.  Workers get a terminate
-    message once the last result has been processed.
+    The master keeps a FIFO ready queue and a FIFO idle-worker queue and
+    dispatches whenever both are non-empty; each result frees the worker
+    that sent it.  Results come back in completion order, and workers get
+    a terminate message once the last one is in.
     """
+    jobs = list(jobs)
+    _check_unique_ids(jobs)
     pool = _Pool(workers, event_log)
-    seen_ids: set[int] = set()
-    ready: deque[JobMessage] = deque()
+    for job in jobs:
+        pool.log("enqueue", job_id=job.job_id)
+    ready: deque[JobMessage] = deque(jobs)
     idle: deque[int] = deque(range(workers))
-    running: dict[int, int] = {}  # job_id -> worker
-
-    def enqueue(job: JobMessage) -> None:
-        if job.job_id in seen_ids:
-            raise ValueError(f"duplicate job id {job.job_id}")
-        seen_ids.add(job.job_id)
-        pool.log("enqueue", job_id=job.job_id, kind=job.kind)
-        ready.append(job)
-
     results: list[ResultMessage] = []
     try:
-        for job in source.initial_jobs():
-            enqueue(job)
-        while ready or running:
+        while len(results) < len(jobs):
             while ready and idle:
-                job = ready.popleft()
-                worker = idle.popleft()
-                running[job.job_id] = worker
-                pool.send(worker, job)
-            # after the dispatch loop either ready or idle is empty, so
-            # something must be running whenever the outer condition held
-            assert running
+                pool.send(idle.popleft(), ready.popleft())
             pool.log("wait", ready=len(ready), idle=len(idle))
             res = pool.outbox.get()
-            idle.append(running.pop(res.job_id))
+            idle.append(res.worker_id)
             pool.log("complete", job_id=res.job_id, worker=res.worker_id,
                      status=res.status)
             results.append(res)
-            for job in source.on_result(res):
-                enqueue(job)
     finally:
         pool.shutdown()
     return results

@@ -19,7 +19,7 @@ from typing import Any, Protocol, Sequence
 import numpy as np
 
 from .linalg import SingularMatrixError, solve_linear
-from .scheduler import JobMessage, ListSource, run_dynamic, run_static
+from .scheduler import JobMessage, run_dynamic, run_static
 
 
 class HomotopyLike(Protocol):
@@ -220,14 +220,13 @@ def track_all(
     """
     opts = opts or TrackerOptions()
     jobs = [
-        JobMessage(i, "independent-path",
-                   TrackTask(h, np.asarray(s, dtype=np.complex128), opts))
+        JobMessage(i, TrackTask(h, np.asarray(s, dtype=np.complex128), opts))
         for i, s in enumerate(starts)
     ]
     if schedule == "static":
         results = run_static(jobs, workers)
     elif schedule == "dynamic":
-        results = run_dynamic(ListSource(jobs), workers)
+        results = run_dynamic(jobs, workers)
     else:
         raise ValueError(f"unknown schedule {schedule!r}")
     results = sorted(results, key=lambda r: r.job_id)

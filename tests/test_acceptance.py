@@ -34,7 +34,7 @@ from pierihom.patterns import (
     tree_leaves,
 )
 from pierihom.polysys import Homotopy, PolySystem, Term, total_degree_start
-from pierihom.scheduler import JobMessage, ListSource, run_dynamic, run_static
+from pierihom.scheduler import JobMessage, run_dynamic, run_static
 from pierihom.tracker import track_all
 
 
@@ -161,10 +161,9 @@ class SleepJob:
 
 def schedule_walls(durations: list[float], workers: int) -> dict:
     """Job-span wall time and per-worker busy time under both schedules."""
-    jobs = [JobMessage(i, "independent-path", SleepJob(d))
-            for i, d in enumerate(durations)]
+    jobs = [JobMessage(i, SleepJob(d)) for i, d in enumerate(durations)]
     runs = {"static": run_static(jobs, workers),
-            "dynamic": run_dynamic(ListSource(jobs), workers)}
+            "dynamic": run_dynamic(jobs, workers)}
     out = {}
     for name, results in runs.items():
         busy = [0.0] * workers

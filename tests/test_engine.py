@@ -104,6 +104,13 @@ def solved(m: int, p: int, q: int, seed: int, workers: int = 1):
     return problem, solve_pieri(problem, workers=workers)
 
 
+def run_rounds(source: PieriTreeSource, workers: int = 1) -> None:
+    """Drive a source through its rounds, one batch each, as solve_pieri does."""
+    jobs = source.initial_jobs()
+    while jobs:
+        jobs = source.on_result(run_dynamic(jobs, workers))
+
+
 # ---------------------------------------------------------------- layout
 
 
@@ -681,7 +688,7 @@ def test_induced_failures_are_accounted_not_dropped() -> None:
 def test_node_store_is_released() -> None:
     problem = ProblemInput.generate(2, 2, 0, 2)
     source = PieriTreeSource(problem, TrackerOptions())
-    run_dynamic(source, workers=2)
+    run_rounds(source, workers=2)
     assert source.store_size == 0
     assert len(source.solutions) == 2
 
@@ -714,7 +721,7 @@ def test_unresolved_collision_becomes_loss(monkeypatch) -> None:
             return outcome
 
         monkeypatch.setattr(EdgeTask, "run", colliding_run)
-        run_dynamic(source, workers=1)
+        run_rounds(source)
         assert len(forced) == 1
         lost = sum(loss.paths_lost for loss in source.losses)
         assert len(source.solutions) + lost == pieri_root_count(2, 2, 0)
@@ -802,36 +809,36 @@ def test_retrack_steps_and_rungs_land_on_their_edges(monkeypatch) -> None:
         tracked.append(res.steps_used)
         return res
 
-    def recording_on_result(self, result):
-        outcomes[result.job_id] = result.payload
-        return real_on_result(self, result)
+    def recording_on_result(self, results):
+        for r in results:
+            outcomes[r.job_id, r.payload.arc_used] = r.payload
+        return real_on_result(self, results)
 
     monkeypatch.setattr(engine, "track_path", counting_track)
     monkeypatch.setattr(PieriTreeSource, "on_result", recording_on_result)
-    run_dynamic(source, workers=1)
+    run_rounds(source)
     assert source.losses == [] and len(source.solutions) == 8
     assert any(
         rec.contour == 1 and rec.status == "converged" for rec in source.edge_records
     )
     assert len(source.edge_records) == len(outcomes) == len(tracked)
     for rec in source.edge_records:
-        job_id = f"{rec.edge_id}@{rec.contour}" if rec.contour else rec.edge_id
-        assert rec.steps_used == outcomes[job_id].steps_used
-        assert rec.contour == outcomes[job_id].arc_used
+        # a job id is its edge id on every contour
+        assert rec.steps_used == outcomes[rec.edge_id, rec.contour].steps_used
     assert sum(rec.steps_used for rec in source.edge_records) == sum(tracked)
 
 
 def test_lossy_pattern_retracks_on_next_contour(monkeypatch) -> None:
     # one of the four edges into a depth-5 pattern of (2,2,1) seed 5 is
     # forced to fail on contour 0: every edge into that pattern, and no
-    # other edge, is tracked again on GAMMAS[1], within the one tree walk
+    # other edge, is tracked again on GAMMAS[1], in one retry round
     problem = ProblemInput.generate(2, 2, 1, 5)
     real_run, real_dynamic = EdgeTask.run, engine.run_dynamic
-    walks, failed, tracked = [], [], []
+    rounds, failed, tracked = [], [], []
 
-    def counting_dynamic(source, workers, event_log=None):
-        walks.append(source)
-        return real_dynamic(source, workers, event_log)
+    def counting_dynamic(jobs, workers, event_log=None):
+        rounds.append([job.payload for job in jobs])
+        return real_dynamic(jobs, workers, event_log)
 
     def failing_run(task):
         tracked.append((task.dest_bottom, task.contour))
@@ -844,8 +851,11 @@ def test_lossy_pattern_retracks_on_next_contour(monkeypatch) -> None:
     monkeypatch.setattr(engine, "run_dynamic", counting_dynamic)
     monkeypatch.setattr(EdgeTask, "run", failing_run)
     result = solve_pieri(problem)
-    assert len(walks) == 1
     pattern = failed[0]
+    levels = list(result.level_counts.values())
+    assert [len(tasks) for tasks in rounds] == levels[:5] + [4] + levels[5:]
+    retry = [(task.dest_bottom, task.contour) for task in rounds[5]]
+    assert retry == [(pattern, 1)] * 4
     edges_in = [bottom for bottom, contour in tracked if contour == 0]
     retried = [bottom for bottom, contour in tracked if contour > 0]
     assert edges_in.count(pattern) == 4
@@ -858,6 +868,44 @@ def test_lossy_pattern_retracks_on_next_contour(monkeypatch) -> None:
     report = verify(result.solutions, problem)
     assert report.max_residual <= 1e-8
     assert report.min_distance > 1e-4
+
+
+def test_solve_runs_one_batch_per_level(monkeypatch) -> None:
+    # (2,2,1) seed 7 retries nothing: each of its 8 levels is one
+    # run_dynamic batch holding exactly that level's edge jobs
+    real_dynamic = engine.run_dynamic
+    rounds = []
+
+    def counting_dynamic(jobs, workers, event_log=None):
+        rounds.append([job.payload for job in jobs])
+        return real_dynamic(jobs, workers, event_log)
+
+    monkeypatch.setattr(engine, "run_dynamic", counting_dynamic)
+    _, result = solved(2, 2, 1, 7, workers=2)
+    assert len(rounds) == num_conditions(2, 2, 1) == 8
+    assert [len(tasks) for tasks in rounds] == list(result.level_counts.values())
+    for depth, tasks in enumerate(rounds, start=1):
+        assert {(task.cond_index, task.contour) for task in tasks} == {(depth, 0)}
+
+
+def test_worker_error_stops_the_solve_after_its_round(monkeypatch) -> None:
+    # the first depth-2 edge job of (2,2,1) seed 7 raises: the solve aborts
+    # once that round is in, before any deeper edge is tracked
+    problem = ProblemInput.generate(2, 2, 1, 7)
+    real_run = EdgeTask.run
+    depths = []
+
+    def failing_run(task):
+        depths.append(task.cond_index)
+        if depths.count(2) == 1 and task.cond_index == 2:
+            raise RuntimeError("injected")
+        return real_run(task)
+
+    monkeypatch.setattr(EdgeTask, "run", failing_run)
+    aborted = r"^solve aborted: edge \S+: RuntimeError: injected$"
+    with pytest.raises(RuntimeError, match=aborted):
+        solve_pieri(problem)
+    assert 2 in depths and max(depths) == 2
 
 
 def test_pattern_pool_fills_across_contours(monkeypatch) -> None:
@@ -934,6 +982,38 @@ def test_pattern_lost_on_every_contour_is_one_loss(monkeypatch) -> None:
     report = verify(result.solutions, problem)
     assert report.max_residual <= 1e-8
     assert report.duplicates == []
+
+
+def test_loss_falls_on_an_edge_that_lost(monkeypatch) -> None:
+    # on every contour, the edge into pattern (3,6) of (2,2,1) seed 5 that
+    # reaches the first root found there fails, so the pattern ends one
+    # root short.  On the last contour edge 1.0.1.0.1.1 fails and every
+    # other edge converges: the loss is that edge's, with its own status
+    problem = ProblemInput.generate(2, 2, 1, 5)
+    real_run = EdgeTask.run
+    dest = (3, 6)
+    first = []
+
+    def failing_run(task):
+        outcome = real_run(task)
+        if task.dest_bottom != dest or outcome.status != "converged":
+            return outcome
+        first[:] = first or [outcome.free]
+        if _coeff_distance(outcome.free, first[0]) <= SAME_ROOT_TOL:
+            return replace(outcome, status="failed", free=None)
+        return outcome
+
+    monkeypatch.setattr(EdgeTask, "run", failing_run)
+    result = solve_pieri(problem)
+    paths = count_paths(LocalizationPattern(2, 2, 1, dest), target_pattern(2, 2, 1))
+    assert result.losses == [LossRecord("1.0.1.0.1.1", dest, "failed", paths)]
+    last = {
+        rec.edge_id: rec.status for rec in result.edge_records
+        if rec.pattern == dest and rec.contour == len(GAMMAS) - 1
+    }
+    assert last.pop("1.0.1.0.1.1") == "failed"
+    assert last and set(last.values()) == {"converged"}
+    assert len(result.solutions) + result.lost_paths == pieri_root_count(2, 2, 1)
 
 
 def test_top_rung_2_2_2_finds_all_laws() -> None:
