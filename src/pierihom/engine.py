@@ -415,10 +415,9 @@ def embed_start(
 class EdgeOutcome:
     """What one tracked edge reports back to the master."""
 
-    status: str  # "converged" | "diverged" | "failed" | "start_violation"
+    status: str  # "converged" | "diverged" | "failed"
     free: np.ndarray | None
     steps_used: int
-    start_residual: float
     start_min_pivot: float
     start_scale: float
     # the index into GAMMAS of the contour tracked, under the name
@@ -430,15 +429,17 @@ class EdgeOutcome:
 class EdgeTask:
     """Self-contained worker payload: track one edge of the tree.
 
-    The edge is tracked once, on the arc of GAMMAS[contour].  The master
-    gives every edge into a pattern the same contour, so distinct starts
-    stay on distinct paths.  This is the only place an edge is tracked.
+    The edge imposes condition k = depth of the deeper pattern and is
+    tracked once, on the arc of GAMMAS[contour].  The master gives every
+    edge into a pattern the same contour, so distinct starts stay on
+    distinct paths.  This is the only place an edge is tracked.  A start
+    that misses residual_tol raises track_path's ValueError, which the
+    worker reports as an error result.
     """
 
     problem: ProblemInput
     source_bottom: tuple[int, ...]
     dest_bottom: tuple[int, ...]
-    cond_index: int
     source_free: np.ndarray
     options: TrackerOptions
     contour: int = 0
@@ -447,9 +448,7 @@ class EdgeTask:
         prob = self.problem
         source = LocalizationPattern(prob.m, prob.p, prob.q, self.source_bottom)
         dest = LocalizationPattern(prob.m, prob.p, prob.q, self.dest_bottom)
-        k = self.cond_index
-        if k != degrees_of_freedom(dest):
-            raise ValueError("condition index must equal the deeper pattern's depth")
+        k = degrees_of_freedom(dest)
         # condition k is imposed on the deeper pattern, starting from the
         # source node lifted into its unknowns
         hom = EdgeHomotopy(
@@ -457,17 +456,11 @@ class EdgeTask:
             prob.points[k - 1], prob.planes[k - 1], special_plane(dest),
         )
         x0 = embed_start(source, self.source_free, dest)
-        start_residual = float(np.linalg.norm(hom.eval(x0, 0.0)))
         f = lu_decompose(hom.jacobian_x(x0, 0.0))
-        if start_residual > self.options.residual_tol:
-            return EdgeOutcome(
-                "start_violation", None, 0, start_residual, f.min_pivot, f.scale,
-            )
         res = track_path(GammaArc(hom, GAMMAS[self.contour]), x0, self.options)
         free = res.endpoint if res.status == "converged" else None
         return EdgeOutcome(
-            res.status, free, res.steps_used, start_residual, f.min_pivot,
-            f.scale, self.contour,
+            res.status, free, res.steps_used, f.min_pivot, f.scale, self.contour
         )
 
 
@@ -519,7 +512,6 @@ class EdgeRecord:
     pattern: tuple[int, ...]
     status: str
     steps_used: int
-    start_residual: float
     start_min_pivot: float
     start_scale: float
     contour: int = 0  # index into GAMMAS
@@ -568,7 +560,6 @@ class PieriTreeSource:
         self._tasks: dict[str, EdgeTask] = {}  # the level's unsettled edges
         self._pools: dict[tuple[int, ...], list[np.ndarray]] = {}
         self._survivors: list[tuple[str, tuple[int, ...], np.ndarray]] = []
-        self._contour = 0  # every job of one round tracks this contour
         self.solutions: list[SolutionMap] = []
         self.losses: list[LossRecord] = []
         self.level_counts: dict[int, int] = {}
@@ -595,8 +586,7 @@ class PieriTreeSource:
             )
             edge_id = f"{path}.{col}" if path else str(col)
             task = EdgeTask(
-                self._problem, pattern.bottom, inc.bottom, depth + 1, free,
-                self._options,
+                self._problem, pattern.bottom, inc.bottom, free, self._options
             )
             self._tasks[edge_id] = task
             jobs.append(JobMessage(edge_id, task))
@@ -612,33 +602,19 @@ class PieriTreeSource:
     def on_result(self, results: list[ResultMessage]) -> list[JobMessage]:
         """Book one round's results and return the next round's jobs.
 
-        A worker error or a broken start contract aborts the solve right
-        after the round that holds it.
+        A worker error, a broken start contract among them, aborts the
+        solve right after the round that holds it.
         """
         results = sorted(results, key=lambda r: r.job_id)
-        errors = []
-        for r in results:
-            if r.status != "ok":
-                errors.append(f"edge {r.job_id}: {r.payload}")
-            elif r.payload.status == "start_violation":
-                errors.append(
-                    f"edge {r.job_id}: start residual "
-                    f"{r.payload.start_residual:.3e} exceeds "
-                    f"{self._options.residual_tol:.0e} "
-                    "(special plane or normalization contract broken)"
-                )
+        errors = [f"edge {r.job_id}: {r.payload}" for r in results if r.status != "ok"]
         if errors:
-            raise RuntimeError("solve aborted: " + "; ".join(sorted(errors)))
+            raise RuntimeError("solve aborted: " + "; ".join(errors))
         groups: dict[tuple[int, ...], list[ResultMessage]] = {}
         for r in results:
             groups.setdefault(self._tasks[r.job_id].dest_bottom, []).append(r)
         jobs = [job for bottom, group in groups.items()
                 for job in self._settle(bottom, group)]
-        if jobs:
-            self._contour += 1
-            return jobs
-        self._contour = 0
-        return self._next_level()
+        return jobs or self._next_level()
 
     def _settle(
         self, bottom: tuple[int, ...], group: list[ResultMessage]
@@ -650,6 +626,7 @@ class PieriTreeSource:
         """
         dest = self._pattern(bottom)
         depth = degrees_of_freedom(dest)
+        contour = self._tasks[group[0].job_id].contour
         pool = self._pools.setdefault(bottom, [])
         held: list[np.ndarray] = []  # roots held on this contour
         records = []
@@ -657,8 +634,8 @@ class PieriTreeSource:
             outcome: EdgeOutcome = result.payload
             record = EdgeRecord(
                 result.job_id, depth, bottom, outcome.status,
-                outcome.steps_used, outcome.start_residual,
-                outcome.start_min_pivot, outcome.start_scale, outcome.arc_used,
+                outcome.steps_used, outcome.start_min_pivot, outcome.start_scale,
+                outcome.arc_used,
             )
             if outcome.status == "converged":
                 if _is_new_root(outcome.free, held):
@@ -669,10 +646,10 @@ class PieriTreeSource:
                     record.status = "collision"
             self.edge_records.append(record)
             records.append(record)
-        if len(pool) < len(group) and self._contour + 1 < len(GAMMAS):
+        if len(pool) < len(group) and contour + 1 < len(GAMMAS):
             retries = []
             for record in records:
-                task = replace(self._tasks[record.edge_id], contour=self._contour + 1)
+                task = replace(self._tasks[record.edge_id], contour=contour + 1)
                 self._tasks[record.edge_id] = task
                 retries.append(JobMessage(record.edge_id, task))
             return retries

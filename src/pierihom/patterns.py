@@ -79,11 +79,6 @@ class LocalizationPattern:
     def top(self) -> tuple[int, ...]:
         return tuple(range(1, self.p + 1))
 
-    @property
-    def depth(self) -> int:
-        """Free coefficients = stars minus the p pinned top pivots."""
-        return sum(b - t for b, t in zip(self.bottom, self.top))
-
     def __str__(self) -> str:
         return "[" + " ".join(str(b) for b in self.bottom) + "]"
 

@@ -5,14 +5,17 @@ Works against any homotopy-like evaluator: an object exposing ``nvars``,
 that each evaluate the system once at (x, t): ``eval_jacobian(x, t) ->
 (H, H_x)`` for the corrector and ``jacobian_dt(x, t) -> (H_x, H_t)`` for
 the predictor.  The predictor is an Euler tangent step (solve
-H_x v = -H_t), the corrector is plain Newton at fixed t, accepted when the
-update norm drops below corrector_tol.  Step control halves the attempted
-step on corrector failure and grows it by 1.5 after three consecutive
-successes, clamped to [h_min, h_max]; the final step lands exactly on
-t = 1 and is followed by a short Newton polish.
+H_x v = -H_t), the corrector is plain Newton at fixed t, at most
+MAX_CORRECTOR_ITERS iterations, accepted when the update norm drops below
+CORRECTOR_TOL.  Step control starts at H_INIT, halves the attempted step
+on corrector failure and grows it by 1.5 after three consecutive
+successes, up to H_MAX; a path fails once the step falls below H_MIN and
+diverges once its norm reaches DIVERGENCE_NORM.  The final step lands
+exactly on t = 1 and is followed by a short Newton polish.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Protocol, Sequence
 
@@ -20,6 +23,13 @@ import numpy as np
 
 from .linalg import SingularMatrixError, solve_linear
 from .scheduler import JobMessage, run_dynamic, run_static
+
+H_INIT = 0.05
+H_MIN = 1e-8
+H_MAX = 0.1
+CORRECTOR_TOL = 1e-10
+MAX_CORRECTOR_ITERS = 6
+DIVERGENCE_NORM = 1e8
 
 
 class HomotopyLike(Protocol):
@@ -35,26 +45,16 @@ class HomotopyLike(Protocol):
 @dataclass(frozen=True)
 class TrackerOptions:
     max_steps: int = 10000
-    h_init: float = 0.05
-    h_min: float = 1e-8
-    h_max: float = 0.1
-    corrector_tol: float = 1e-10
-    max_corrector_iters: int = 6
     residual_tol: float = 1e-8
-    divergence_norm: float = 1e8
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.h_min <= self.h_init <= self.h_max <= 1.0:
+        if self.max_steps < 1:
+            raise ValueError(f"max_steps must be positive, got {self.max_steps}")
+        # nan would fail every endpoint and inf would accept any start
+        if not (math.isfinite(self.residual_tol) and self.residual_tol > 0):
             raise ValueError(
-                f"need 0 < h_min <= h_init <= h_max <= 1, got "
-                f"{self.h_min}, {self.h_init}, {self.h_max}"
+                f"residual_tol must be positive and finite, got {self.residual_tol}"
             )
-        if self.corrector_tol <= 0 or self.residual_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_steps < 1 or self.max_corrector_iters < 1:
-            raise ValueError("iteration limits must be positive")
-        if self.divergence_norm <= 0:
-            raise ValueError("divergence_norm must be positive")
 
 
 @dataclass
@@ -67,10 +67,9 @@ class PathResult:
     newton_iters_total: int
 
 
-def _newton(h: HomotopyLike, x: np.ndarray, t: float,
-            opts: TrackerOptions) -> tuple[np.ndarray, int, bool]:
-    """Correct x at fixed t; success means the update norm met corrector_tol."""
-    for it in range(1, opts.max_corrector_iters + 1):
+def _newton(h: HomotopyLike, x: np.ndarray, t: float) -> tuple[np.ndarray, int, bool]:
+    """Correct x at fixed t; success means the update norm met CORRECTOR_TOL."""
+    for it in range(1, MAX_CORRECTOR_ITERS + 1):
         try:
             res, jac = h.eval_jacobian(x, t)
             dx = solve_linear(jac, -res)
@@ -79,9 +78,9 @@ def _newton(h: HomotopyLike, x: np.ndarray, t: float,
         x = x + dx
         if not np.all(np.isfinite(x)):
             return x, it, False
-        if float(np.linalg.norm(dx)) <= opts.corrector_tol:
+        if float(np.linalg.norm(dx)) <= CORRECTOR_TOL:
             return x, it, True
-    return x, opts.max_corrector_iters, False
+    return x, MAX_CORRECTOR_ITERS, False
 
 
 def track_path(
@@ -101,7 +100,7 @@ def track_path(
             f"start residual {start_residual:.3e} exceeds {opts.residual_tol:.0e}"
         )
     t = 0.0
-    step = opts.h_init
+    step = H_INIT
     consecutive = 0
     steps_used = 0
     newton_total = 0
@@ -120,7 +119,7 @@ def track_path(
                 x_pred = x
         except SingularMatrixError:
             x_pred = x  # zero-order fallback; the corrector decides
-        x_corr, iters, ok = _newton(h, x_pred, t_new, opts)
+        x_corr, iters, ok = _newton(h, x_pred, t_new)
         steps_used += 1
         newton_total += iters
         if ok:
@@ -128,15 +127,15 @@ def track_path(
             t = t_new
             consecutive += 1
             if consecutive >= 3:
-                step = min(step * 1.5, opts.h_max)
+                step = min(step * 1.5, H_MAX)
                 consecutive = 0
-            if float(np.linalg.norm(x)) >= opts.divergence_norm:
+            if float(np.linalg.norm(x)) >= DIVERGENCE_NORM:
                 status = "diverged"
                 break
         else:
             consecutive = 0
             step = dt / 2.0  # halve the attempted step, not the nominal one
-            if step < opts.h_min:
+            if step < H_MIN:
                 status = "failed"
                 break
     if status is None:
@@ -151,7 +150,7 @@ def track_path(
                 break
             x = x + dx
             newton_total += 1
-            if float(np.linalg.norm(dx)) <= opts.corrector_tol:
+            if float(np.linalg.norm(dx)) <= CORRECTOR_TOL:
                 break
         residual = float(np.linalg.norm(h.eval(x, 1.0)))
         status = "converged" if residual <= opts.residual_tol else "failed"

@@ -220,3 +220,14 @@ def test_solve_bad_tol_exit_2(tmp_path, capsys):
                  "--tol", "-1.0", "--output", str(tmp_path / "x.json")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_solve_non_finite_tol_exit_2(tmp_path, capsys):
+    # nan compares false against 0, so a sign check alone lets it through
+    for tol in ("nan", "inf"):
+        out = tmp_path / f"{tol}.json"
+        code = main(["solve", "-m", "2", "-p", "2", "-q", "0", "--seed", "1",
+                     "--tol", tol, "--output", str(out)])
+        assert code == 2
+        assert "residual_tol" in capsys.readouterr().err
+        assert not out.exists()

@@ -488,8 +488,8 @@ def test_one_condition_stack_per_linear_solve(monkeypatch) -> None:
     source, free = trivial_pattern(2, 2, 1), np.zeros(0, dtype=np.complex128)
     while degrees_of_freedom(source) < 4:
         dest = increments(source)[0]
-        outcome = EdgeTask(problem, source.bottom, dest.bottom,
-                           degrees_of_freedom(dest), free, TrackerOptions()).run()
+        outcome = EdgeTask(problem, source.bottom, dest.bottom, free,
+                           TrackerOptions()).run()
         assert outcome.status == "converged"
         source, free = dest, outcome.free
     dest = increments(source)[0]
@@ -526,18 +526,17 @@ def test_first_edge_matches_linear_closed_form() -> None:
     b = hom.eval(zero, 1.0)[0]
     a = hom.eval(one, 1.0)[0] - b
     root = -b / a
-    task = EdgeTask(problem, triv.bottom, dest.bottom, 1,
+    task = EdgeTask(problem, triv.bottom, dest.bottom,
                     np.zeros(0, dtype=np.complex128), TrackerOptions())
     outcome = task.run()
     assert outcome.status == "converged"
     assert abs(outcome.free[0] - root) <= 1e-8
-    assert outcome.start_residual <= 1e-14
     assert outcome.start_min_pivot > 1e-10 * outcome.start_scale
 
 
 def test_edge_task_tracks_once_on_its_contour(monkeypatch) -> None:
     # a failed track is final: the worker tracks its edge exactly once, on
-    # GAMMAS[contour] at the options' own step sizes
+    # GAMMAS[contour] with the options it was given
     problem = ProblemInput.generate(2, 2, 0, 17)
     opts = TrackerOptions()
     tracked = []
@@ -549,13 +548,12 @@ def test_edge_task_tracks_once_on_its_contour(monkeypatch) -> None:
     monkeypatch.setattr(engine, "track_path", failing_track)
     for contour, gamma in enumerate(GAMMAS):
         tracked.clear()
-        task = EdgeTask(problem, trivial_pattern(2, 2, 0).bottom, (1, 3), 1,
+        task = EdgeTask(problem, trivial_pattern(2, 2, 0).bottom, (1, 3),
                         np.zeros(0, dtype=np.complex128), opts, contour)
         outcome = task.run()
         assert outcome.status == "failed" and outcome.free is None
         assert outcome.arc_used == contour and outcome.steps_used == 3
         assert tracked == [(gamma, opts)]
-        assert tracked[0][1].h_max == opts.h_max
 
 
 def test_edge_task_flags_start_violation() -> None:
@@ -563,11 +561,9 @@ def test_edge_task_flags_start_violation() -> None:
     source = LocalizationPattern(2, 2, 1, (1, 3))
     dest = LocalizationPattern(2, 2, 1, (1, 4))
     garbage = np.array([999.0 + 0.0j])
-    task = EdgeTask(problem, source.bottom, dest.bottom, 2, garbage, TrackerOptions())
-    outcome = task.run()
-    assert outcome.status == "start_violation"
-    assert outcome.start_residual > 1e-8
-    assert outcome.free is None
+    task = EdgeTask(problem, source.bottom, dest.bottom, garbage, TrackerOptions())
+    with pytest.raises(ValueError, match="start residual"):
+        task.run()
 
 
 # ------------------------------------------------------------ solving
@@ -606,7 +602,6 @@ def test_solve_dynamic_problem_with_start_contract() -> None:
     assert result.losses == []
     for rec in result.edge_records:
         assert rec.status == "converged"
-        assert rec.start_residual <= 1e-8
         assert rec.start_min_pivot > 1e-10 * rec.start_scale
     report = verify(result.solutions, problem)
     assert report.max_residual <= 1e-8
@@ -670,10 +665,10 @@ def test_solutions_identical_across_worker_counts() -> None:
 
 
 def test_induced_failures_are_accounted_not_dropped() -> None:
-    # an impossibly small step budget fails every first-level path on every
+    # one step cannot reach t = 1, so every first-level path fails on every
     # contour; the lost subtrees must add up to the full root count
     problem = ProblemInput.generate(2, 2, 1, 3)
-    opts = TrackerOptions(max_steps=1, h_init=1e-8, h_min=1e-8, h_max=1e-8)
+    opts = TrackerOptions(max_steps=1)
     result = solve_pieri(problem, options=opts)
     assert result.solutions == []
     assert sum(l.paths_lost for l in result.losses) == pieri_root_count(2, 2, 1)
@@ -843,7 +838,7 @@ def test_lossy_pattern_retracks_on_next_contour(monkeypatch) -> None:
     def failing_run(task):
         tracked.append((task.dest_bottom, task.contour))
         outcome = real_run(task)
-        if task.cond_index == 5 and not failed:
+        if len(task.source_free) + 1 == 5 and not failed:
             failed.append(task.dest_bottom)
             return replace(outcome, status="failed", free=None)
         return outcome
@@ -885,7 +880,8 @@ def test_solve_runs_one_batch_per_level(monkeypatch) -> None:
     assert len(rounds) == num_conditions(2, 2, 1) == 8
     assert [len(tasks) for tasks in rounds] == list(result.level_counts.values())
     for depth, tasks in enumerate(rounds, start=1):
-        assert {(task.cond_index, task.contour) for task in tasks} == {(depth, 0)}
+        assert {len(task.source_free) + 1 for task in tasks} == {depth}
+        assert {task.contour for task in tasks} == {0}
 
 
 def test_worker_error_stops_the_solve_after_its_round(monkeypatch) -> None:
@@ -896,13 +892,34 @@ def test_worker_error_stops_the_solve_after_its_round(monkeypatch) -> None:
     depths = []
 
     def failing_run(task):
-        depths.append(task.cond_index)
-        if depths.count(2) == 1 and task.cond_index == 2:
+        depths.append(len(task.source_free) + 1)
+        if depths.count(2) == 1 and depths[-1] == 2:
             raise RuntimeError("injected")
         return real_run(task)
 
     monkeypatch.setattr(EdgeTask, "run", failing_run)
     aborted = r"^solve aborted: edge \S+: RuntimeError: injected$"
+    with pytest.raises(RuntimeError, match=aborted):
+        solve_pieri(problem)
+    assert 2 in depths and max(depths) == 2
+
+
+def test_bad_start_stops_the_solve_after_its_round(monkeypatch) -> None:
+    # the first depth-2 edge job of (2,2,1) seed 7 starts from a source
+    # node that is no solution: track_path's start check raises in the
+    # worker, and the solve aborts once that round is in
+    problem = ProblemInput.generate(2, 2, 1, 7)
+    real_run = EdgeTask.run
+    depths = []
+
+    def corrupting_run(task):
+        depths.append(len(task.source_free) + 1)
+        if depths.count(2) == 1 and depths[-1] == 2:
+            task = replace(task, source_free=np.array([999.0 + 0.0j]))
+        return real_run(task)
+
+    monkeypatch.setattr(EdgeTask, "run", corrupting_run)
+    aborted = r"^solve aborted: edge \S+: ValueError: start residual"
     with pytest.raises(RuntimeError, match=aborted):
         solve_pieri(problem)
     assert 2 in depths and max(depths) == 2
@@ -920,7 +937,7 @@ def test_pattern_pool_fills_across_contours(monkeypatch) -> None:
         outcome = real_run(task)
         start = task.source_free.tobytes()
         if (
-            task.cond_index == problem.n
+            len(task.source_free) + 1 == problem.n
             and outcome.status == "converged"
             and task.contour not in dropped
             and all(

