@@ -97,11 +97,18 @@ def cmd_track(args: argparse.Namespace) -> int:
     start, starts = total_degree_start(system, rng)
     gamma = complex(np.exp(2j * np.pi * rng.uniform()))
     hom = Homotopy(target=system, start=start, gamma=gamma)
+    opts = _tracker_options(args) or TrackerOptions()
+    # every path would stop on its start check in a worker; a --tol that no
+    # start meets is an input error, so it is reported as one here
+    worst = max(float(np.linalg.norm(hom.eval(s, 0.0))) for s in starts)
+    if worst > opts.residual_tol:
+        raise ValueError(
+            f"start residual {worst:.3e} exceeds --tol {opts.residual_tol:.0e}")
     print(f"system: {len(system.polys)} polynomials in {system.nvars} variables, "
           f"{len(starts)} start paths")
     begin = time.perf_counter()
     results = track_all(hom, starts, schedule=args.schedule,
-                        workers=args.workers, opts=_tracker_options(args))
+                        workers=args.workers, opts=opts)
     elapsed = time.perf_counter() - begin
     tally = {"converged": 0, "diverged": 0, "failed": 0}
     for res in results:

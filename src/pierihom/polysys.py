@@ -1,9 +1,15 @@
 """Sparse multivariate polynomial systems over the complex numbers.
 
-Supports the generic continuation pipeline: term-list systems, analytic
-Jacobians by exponent differentiation, the convex linear homotopy
-h(x, t) = gamma*(1-t)*g(x) + t*f(x), and total-degree start systems whose
-roots-of-unity solutions are written down directly.
+Supports the generic continuation pipeline: term-list systems, the convex
+linear homotopy h(x, t) = gamma*(1-t)*g(x) + t*f(x), and total-degree
+start systems whose roots-of-unity solutions are written down directly.
+
+A PolySystem compiles its terms once, at construction, into a table of
+distinct monomials, their partial derivatives by exponent
+differentiation, and a coefficient matrix.  ``evaluate_jacobian`` then
+gives values and Jacobian in one vectorized pass, and the homotopy's
+fused ``eval_jacobian`` and ``jacobian_dt`` evaluate each of g and f once
+per call.
 """
 from __future__ import annotations
 
@@ -22,14 +28,24 @@ class Term:
     exponents: tuple[int, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolySystem:
-    """A list of polynomials, each a list of Terms, in nvars variables."""
+    """A tuple of polynomials, each a tuple of Terms, in nvars variables.
+
+    Frozen, so the evaluation table built from ``polys`` at construction
+    cannot go stale; ``polys`` may be given as any nested sequence.
+    """
 
     nvars: int
-    polys: list[list[Term]]
+    polys: tuple[tuple[Term, ...], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "polys", tuple(tuple(poly) for poly in self.polys))
+        # The evaluation table.  Each distinct exponent tuple e_k is one
+        # monomial column of the coefficient matrix, repeated exponents in a
+        # polynomial summed.  Beside monomial k sit its nvars partials
+        # e_kj * x^(e_k - u_j), the exponent clipped at 0 where e_kj = 0.
+        column: dict[tuple[int, ...], int] = {}
         for poly in self.polys:
             for term in poly:
                 if len(term.exponents) != self.nvars:
@@ -38,6 +54,21 @@ class PolySystem:
                     )
                 if any(e < 0 for e in term.exponents):
                     raise ValueError(f"negative exponent in {term}")
+                column.setdefault(tuple(term.exponents), len(column))
+        coeffs = np.zeros((len(self.polys), len(column)), dtype=np.complex128)
+        for i, poly in enumerate(self.polys):
+            for term in poly:
+                coeffs[i, column[tuple(term.exponents)]] += term.coeff
+        exps = np.array(list(column), dtype=np.intp).reshape(len(column), self.nvars)
+        shifted = np.maximum(exps[:, None, :] - np.eye(self.nvars, dtype=np.intp), 0)
+        table = {
+            "_coeffs": coeffs,
+            "_rows": np.concatenate([exps[:, None, :], shifted], axis=1),
+            "_weights": np.concatenate([np.ones((len(column), 1)), exps], axis=1),
+            "_max_exp": int(exps.max(initial=0)),
+        }
+        for name, value in table.items():
+            object.__setattr__(self, name, value)
 
     def _check_point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.complex128)
@@ -45,30 +76,25 @@ class PolySystem:
             raise ValueError(f"expected point of length {self.nvars}, got {x.shape}")
         return x
 
-    def evaluate(self, x) -> np.ndarray:
+    def evaluate_jacobian(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """Values (npolys,) and Jacobian (npolys, nvars) at x in one pass.
+
+        Powers x_j^d come from cumulative products, so 0^0 is exactly 1
+        and no complex pow is taken.
+        """
         x = self._check_point(x)
-        values = np.zeros(len(self.polys), dtype=np.complex128)
-        for i, poly in enumerate(self.polys):
-            acc = 0j
-            for term in poly:
-                acc += term.coeff * np.prod(x**np.array(term.exponents))
-            values[i] = acc
-        return values
+        powers = np.ones((self._max_exp + 1, self.nvars), dtype=np.complex128)
+        powers[1:] = x
+        powers = np.cumprod(powers, axis=0)
+        terms = self._weights * np.prod(powers[self._rows, np.arange(self.nvars)], axis=2)
+        out = self._coeffs @ terms
+        return out[:, 0], out[:, 1:]
+
+    def evaluate(self, x) -> np.ndarray:
+        return self.evaluate_jacobian(x)[0]
 
     def jacobian(self, x) -> np.ndarray:
-        x = self._check_point(x)
-        jac = np.zeros((len(self.polys), self.nvars), dtype=np.complex128)
-        for i, poly in enumerate(self.polys):
-            for term in poly:
-                for j, ej in enumerate(term.exponents):
-                    if ej == 0:
-                        continue
-                    prod = complex(term.coeff) * ej * x[j] ** (ej - 1)
-                    for l, el in enumerate(term.exponents):
-                        if l != j and el:
-                            prod *= x[l] ** el
-                    jac[i, j] += prod
-        return jac
+        return self.evaluate_jacobian(x)[1]
 
     def degrees(self) -> list[int]:
         """Max total degree per polynomial; zero-coefficient terms ignored."""
@@ -120,10 +146,17 @@ class Homotopy:
         return self.target.evaluate(x) - self.gamma * self.start.evaluate(x)
 
     def eval_jacobian(self, x, t: float) -> tuple[np.ndarray, np.ndarray]:
-        return self.eval(x, t), self.jacobian_x(x, t)
+        self._check_t(t)
+        g, g_x = self.start.evaluate_jacobian(x)
+        f, f_x = self.target.evaluate_jacobian(x)
+        scale = self.gamma * (1.0 - t)
+        return scale * g + t * f, scale * g_x + t * f_x
 
     def jacobian_dt(self, x, t: float) -> tuple[np.ndarray, np.ndarray]:
-        return self.jacobian_x(x, t), self.dt(x, t)
+        self._check_t(t)
+        g, g_x = self.start.evaluate_jacobian(x)
+        f, f_x = self.target.evaluate_jacobian(x)
+        return self.gamma * (1.0 - t) * g_x + t * f_x, f - self.gamma * g
 
 
 def start_roots(degrees: list[int], constants: list[complex]) -> list[np.ndarray]:

@@ -208,6 +208,22 @@ def test_track_constant_polynomial_exit_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_track_tol_below_start_residual_exit_2(tmp_path, capsys):
+    # the total-degree starts meet their equations to ~1e-16, not 1e-30
+    sys_path = tmp_path / "sys.json"
+    write_system(sys_path, [
+        [Term(1 + 0j, (2, 0)), Term(-4 + 0j, (0, 0))],
+        [Term(1 + 0j, (0, 2)), Term(-9 + 0j, (0, 0))],
+    ], nvars=2)
+    out = tmp_path / "ends.json"
+    assert main(["track", "--input", str(sys_path), "--seed", "3",
+                 "--tol", "1e-30", "--output", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: ") and "start residual" in err[0]
+    assert not out.exists()
+
+
 def test_track_non_square_exit_2(tmp_path, capsys):
     rect = tmp_path / "rect.json"
     write_system(rect, [[Term(1 + 0j, (1, 0))]], nvars=2)

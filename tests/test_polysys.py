@@ -5,6 +5,8 @@ against an independently written per-term evaluator and frozen hand values.
 """
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,68 @@ def test_jacobian_matches_central_differences_20_seeds() -> None:
         assert np.allclose(got, want, rtol=1e-6, atol=1e-6)
 
 
+def check_against_oracles(f: PolySystem, x) -> None:
+    """evaluate_jacobian against naive_eval and central differences."""
+    values, jac = f.evaluate_jacobian(x)
+    assert values.shape == (len(f.polys),)
+    assert jac.shape == (len(f.polys), f.nvars)
+    assert np.allclose(values, naive_eval(f, x), rtol=1e-12, atol=1e-12)
+    assert np.allclose(jac, fd_jacobian(f.evaluate, x), rtol=1e-6, atol=1e-6)
+    assert np.array_equal(f.evaluate(x), values)
+    assert np.array_equal(f.jacobian(x), jac)
+
+
+def test_evaluator_edge_cases_match_oracles() -> None:
+    x = np.array([0.7 - 0.2j, -1.3 + 0.4j])
+    # repeated exponent tuples within one polynomial are summed
+    repeated = PolySystem(2, [
+        [Term(1.0, (2, 1)), Term(2.5j, (2, 1)), Term(-1.0, (0, 0)), Term(3.0, (2, 1))],
+        [Term(1.0, (0, 3)), Term(-1.0, (0, 3)), Term(4.0, (1, 0))],
+    ])
+    check_against_oracles(repeated, x)
+    # zero coefficients, and a polynomial with no terms
+    sparse = PolySystem(2, [[Term(0.0, (3, 0)), Term(2.0, (1, 1))], [],
+                            [Term(0.0, (0, 0))]])
+    check_against_oracles(sparse, x)
+    assert np.array_equal(sparse.evaluate_jacobian(x)[0][1:], [0.0, 0.0])
+    # an all-constant system: values are the constants, the Jacobian is 0
+    constant = PolySystem(2, [[Term(3.0, (0, 0))], [Term(-1j, (0, 0))]])
+    values, jac = constant.evaluate_jacobian(x)
+    assert np.array_equal(values, [3.0, -1j])
+    assert np.array_equal(jac, np.zeros((2, 2)))
+    check_against_oracles(constant, x)
+
+
+def test_evaluator_at_zero_coordinates() -> None:
+    # 0^0 = 1 and 0^(e-1) = 0 for e > 1, 1 for e = 1
+    f = PolySystem(3, [
+        [Term(2.0, (1, 2, 0)), Term(1j, (0, 0, 0)), Term(-1.0, (0, 1, 3))],
+        [Term(1.0, (2, 0, 1)), Term(0.5, (1, 0, 0)), Term(3.0, (0, 0, 1))],
+        [Term(1.0, (1, 1, 1)), Term(-2.0, (0, 2, 0))],
+    ])
+    for x in ([0.0, 0.0, 0.0], [0.0, 1.5 - 2j, 0.0], [0.3j, 0.0, -1.1]):
+        check_against_oracles(f, x)
+    values, jac = f.evaluate_jacobian([0.0, 0.0, 0.0])
+    assert np.array_equal(values, [1j, 0.0, 0.0])
+    assert np.array_equal(jac, [[0.0, 0.0, 0.0], [0.5, 0.0, 3.0], [0.0, 0.0, 0.0]])
+
+
+def test_polysystem_is_frozen() -> None:
+    f = PolySystem(2, [[Term(1.0, (2, 0)), Term(-4.0, (0, 0))],
+                       [Term(1.0, (0, 2)), Term(-9.0, (0, 0))]])
+    assert isinstance(f.polys, tuple)
+    assert all(isinstance(poly, tuple) for poly in f.polys)
+    before = f.evaluate([1.0, 2.0])
+    with pytest.raises(FrozenInstanceError):
+        f.polys = [[Term(1.0, (1, 0))]]
+    with pytest.raises(FrozenInstanceError):
+        f.nvars = 3
+    assert np.array_equal(f.evaluate([1.0, 2.0]), before)
+    back = system_from_json(system_to_json(f))
+    assert back == f
+    assert len(back.polys) == back.nvars == 2
+
+
 def test_degrees_max_total_degree() -> None:
     f = PolySystem(2, [[Term(1.0, (2, 1)), Term(2.0, (0, 1))], [Term(1.0, (0, 0))]])
     assert f.degrees() == [3, 0]
@@ -162,13 +226,29 @@ def test_homotopy_jacobian_matches_central_differences() -> None:
         assert np.allclose(h.jacobian_x(x, t), want, rtol=1e-6, atol=1e-6)
 
 
+def test_homotopy_fused_calls_match_separate_ones() -> None:
+    rng = np.random.default_rng(44)
+    f = random_system(rng, 3, 3)
+    g = random_system(rng, 3, 3)
+    h = Homotopy(target=f, start=g, gamma=np.exp(1.1j))
+    x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+
+    def close(got, want) -> bool:
+        return float(np.linalg.norm(got - want)) <= 1e-14 * float(np.linalg.norm(want))
+
+    for t in (0.0, 0.3, 1.0):
+        values, jac = h.eval_jacobian(x, t)
+        assert close(values, h.eval(x, t)) and close(jac, h.jacobian_x(x, t))
+        jac, h_t = h.jacobian_dt(x, t)
+        assert close(jac, h.jacobian_x(x, t)) and close(h_t, h.dt(x, t))
+
+
 def test_homotopy_rejects_t_outside_unit_interval() -> None:
     h = Homotopy(x_squared_minus(4.0), x_squared_minus(1.0), 1.0)
     for t in (-0.1, 1.1):
-        with pytest.raises(ValueError):
-            h.eval([1.0], t)
-        with pytest.raises(ValueError):
-            h.jacobian_x([1.0], t)
+        for method in (h.eval, h.jacobian_x, h.dt, h.eval_jacobian, h.jacobian_dt):
+            with pytest.raises(ValueError):
+                method([1.0], t)
 
 
 def test_homotopy_requires_unit_modulus_gamma_and_equal_arity() -> None:

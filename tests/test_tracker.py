@@ -6,6 +6,7 @@ x=1 is x(t) = sqrt(1+3t) and must end at exactly 2.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -241,6 +242,29 @@ def test_track_all_random_dense_quadric_converges() -> None:
         for j in range(i + 1, 4):
             d = np.linalg.norm(results[i].endpoint - results[j].endpoint)
             assert d > 1e-6
+
+
+def test_track_all_dense_cubic_finds_27_distinct_roots() -> None:
+    # every monomial of degree <= 3 in 3 variables, 20 per polynomial
+    rng = np.random.default_rng(2)
+    monomials = [e for e in itertools.product(range(4), repeat=3) if sum(e) <= 3]
+    assert len(monomials) == 20
+    f = PolySystem(3, [
+        [Term(complex(rng.standard_normal(), rng.standard_normal()), e)
+         for e in monomials]
+        for _ in range(3)
+    ])
+    g, starts = total_degree_start(f, rng)
+    h = Homotopy(target=f, start=g, gamma=np.exp(2j * np.pi * rng.uniform()))
+    results = track_all(h, starts)
+    assert len(results) == 27
+    assert all(r.status == "converged" for r in results)
+    for r in results:
+        assert float(np.linalg.norm(f.evaluate(r.endpoint))) <= 1e-8
+    for i in range(27):
+        for j in range(i + 1, 27):
+            d = np.linalg.norm(results[i].endpoint - results[j].endpoint)
+            assert d > 1e-4
 
 
 def test_track_all_order_and_worker_invariance() -> None:
