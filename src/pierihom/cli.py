@@ -28,13 +28,13 @@ from .polysys import Homotopy, system_from_json, total_degree_start
 from .tracker import TrackerOptions, track_all
 
 
-def _tracker_options(args: argparse.Namespace) -> TrackerOptions | None:
+def _tracker_options(args: argparse.Namespace) -> TrackerOptions:
     overrides = {}
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         overrides["residual_tol"] = args.tol
-    if getattr(args, "max_steps", None) is not None:
+    if args.max_steps is not None:
         overrides["max_steps"] = args.max_steps
-    return TrackerOptions(**overrides) if overrides else None
+    return TrackerOptions(**overrides)
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -97,7 +97,7 @@ def cmd_track(args: argparse.Namespace) -> int:
     start, starts = total_degree_start(system, rng)
     gamma = complex(np.exp(2j * np.pi * rng.uniform()))
     hom = Homotopy(target=system, start=start, gamma=gamma)
-    opts = _tracker_options(args) or TrackerOptions()
+    opts = _tracker_options(args)
     # every path would stop on its start check in a worker; a --tol that no
     # start meets is an input error, so it is reported as one here
     worst = max(float(np.linalg.norm(hom.eval(s, 0.0))) for s in starts)

@@ -579,8 +579,6 @@ class PieriTreeSource:
         depth = degrees_of_freedom(pattern)
         jobs = []
         for inc in increments(pattern):
-            if count_paths(inc, self._target) == 0:
-                continue  # dead branch: no leaf below, nothing to lose
             col = next(
                 j for j in range(pattern.p) if inc.bottom[j] != pattern.bottom[j]
             )
@@ -590,10 +588,7 @@ class PieriTreeSource:
             )
             self._tasks[edge_id] = task
             jobs.append(JobMessage(edge_id, task))
-        if jobs:
-            self.level_counts[depth + 1] = (
-                self.level_counts.get(depth + 1, 0) + len(jobs)
-            )
+        self.level_counts[depth + 1] = self.level_counts.get(depth + 1, 0) + len(jobs)
         return jobs
 
     def initial_jobs(self) -> list[JobMessage]:
@@ -654,7 +649,6 @@ class PieriTreeSource:
                 retries.append(JobMessage(record.edge_id, task))
             return retries
         del self._pools[bottom]
-        paths = count_paths(dest, self._target)
         # the roots held on this contour are pooled, so every edge that
         # converged here gets a root, and losses fall on the edges that
         # failed, diverged or collided
@@ -668,6 +662,7 @@ class PieriTreeSource:
             if i in kept:
                 self._survivors.append((record.edge_id, bottom, next(roots)))
             else:
+                paths = count_paths(dest, self._target)
                 self.losses.append(
                     LossRecord(record.edge_id, bottom, record.status, paths)
                 )

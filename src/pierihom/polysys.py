@@ -134,16 +134,13 @@ class Homotopy:
             raise ValueError(f"continuation parameter t={t} outside [0, 1]")
 
     def eval(self, x, t: float) -> np.ndarray:
-        self._check_t(t)
-        return self.gamma * (1.0 - t) * self.start.evaluate(x) + t * self.target.evaluate(x)
+        return self.eval_jacobian(x, t)[0]
 
     def jacobian_x(self, x, t: float) -> np.ndarray:
-        self._check_t(t)
-        return self.gamma * (1.0 - t) * self.start.jacobian(x) + t * self.target.jacobian(x)
+        return self.eval_jacobian(x, t)[1]
 
     def dt(self, x, t: float) -> np.ndarray:
-        self._check_t(t)
-        return self.target.evaluate(x) - self.gamma * self.start.evaluate(x)
+        return self.jacobian_dt(x, t)[1]
 
     def eval_jacobian(self, x, t: float) -> tuple[np.ndarray, np.ndarray]:
         self._check_t(t)
@@ -212,18 +209,24 @@ def system_to_json(f: PolySystem) -> dict[str, Any]:
     }
 
 
+def _json_int(value: Any, name: str) -> int:
+    # int() would read 2.5 as 2 and true as 1: a different system, silently
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def system_from_json(obj: Any) -> PolySystem:
     try:
-        nvars = int(obj["nvars"])
+        nvars = _json_int(obj["nvars"], "nvars")
         polys = []
         for poly in obj["polys"]:
             terms = []
             for t in poly:
                 coeff = complex(float(t["re"]), float(t["im"]))
-                exps = tuple(int(e) for e in t["exp"])
+                exps = tuple(_json_int(e, "exponent") for e in t["exp"])
                 terms.append(Term(coeff, exps))
             polys.append(terms)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed polynomial system object: {exc}") from exc
-    system = PolySystem(nvars, polys)  # arity check happens here
-    return system
+    return PolySystem(nvars, polys)  # arity check happens here

@@ -11,7 +11,7 @@ CORRECTOR_TOL.  Step control starts at H_INIT, halves the attempted step
 on corrector failure and grows it by 1.5 after three consecutive
 successes, up to H_MAX; a path fails once the step falls below H_MIN and
 diverges once its norm reaches DIVERGENCE_NORM.  The final step lands
-exactly on t = 1 and is followed by a short Newton polish.
+exactly on t = 1, where one more ``_newton`` call polishes the endpoint.
 """
 from __future__ import annotations
 
@@ -75,9 +75,10 @@ def _newton(h: HomotopyLike, x: np.ndarray, t: float) -> tuple[np.ndarray, int, 
             dx = solve_linear(jac, -res)
         except SingularMatrixError:
             return x, it, False
-        x = x + dx
-        if not np.all(np.isfinite(x)):
-            return x, it, False
+        x_new = x + dx
+        if not np.all(np.isfinite(x_new)):
+            return x, it, False  # keep the last finite iterate
+        x = x_new
         if float(np.linalg.norm(dx)) <= CORRECTOR_TOL:
             return x, it, True
     return x, MAX_CORRECTOR_ITERS, False
@@ -138,24 +139,12 @@ def track_path(
             if step < H_MIN:
                 status = "failed"
                 break
-    if status is None:
-        # landed exactly on t=1; polish with a few extra Newton iterations
-        for _ in range(5):
-            try:
-                res, jac = h.eval_jacobian(x, 1.0)
-                dx = solve_linear(jac, -res)
-            except SingularMatrixError:
-                break
-            if not np.all(np.isfinite(x + dx)):
-                break
-            x = x + dx
-            newton_total += 1
-            if float(np.linalg.norm(dx)) <= CORRECTOR_TOL:
-                break
-        residual = float(np.linalg.norm(h.eval(x, 1.0)))
-        status = "converged" if residual <= opts.residual_tol else "failed"
-        return PathResult(status, x, 1.0, residual, steps_used, newton_total)
+    if status is None:  # landed exactly on t = 1: polish there
+        x, iters, _ = _newton(h, x, 1.0)
+        newton_total += iters
     residual = float(np.linalg.norm(h.eval(x, t)))
+    if status is None:
+        status = "converged" if residual <= opts.residual_tol else "failed"
     return PathResult(status, x, t, residual, steps_used, newton_total)
 
 

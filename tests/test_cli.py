@@ -190,6 +190,21 @@ def test_track_malformed_file_exit_2(tmp_path, capsys):
     assert main(["track", "--input", str(missing)]) == 2
 
 
+def test_track_non_integer_exponent_exit_2(tmp_path, capsys):
+    # x^2.5 - 4 = 0 must not be tracked as x^2 - 4 = 0
+    doc = {"nvars": 2, "polys": [
+        [{"re": 1.0, "im": 0.0, "exp": [2.5, 0]}, {"re": -4.0, "im": 0.0, "exp": [0, 0]}],
+        [{"re": 1.0, "im": 0.0, "exp": [0, 2]}, {"re": -9.0, "im": 0.0, "exp": [0, 0]}],
+    ]}
+    for name, bad in (("exponent", doc), ("nvars", dict(doc, nvars=2.9))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(bad))
+        out = tmp_path / f"{name}_ends.json"
+        assert main(["track", "--input", str(path), "--output", str(out)]) == 2
+        assert f"{name} must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_track_empty_system_exit_2(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"nvars": 2, "polys": []}))

@@ -227,20 +227,19 @@ def test_homotopy_jacobian_matches_central_differences() -> None:
 
 
 def test_homotopy_fused_calls_match_separate_ones() -> None:
+    # the single-value calls are parts of the fused ones, bit for bit
     rng = np.random.default_rng(44)
     f = random_system(rng, 3, 3)
     g = random_system(rng, 3, 3)
     h = Homotopy(target=f, start=g, gamma=np.exp(1.1j))
     x = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-
-    def close(got, want) -> bool:
-        return float(np.linalg.norm(got - want)) <= 1e-14 * float(np.linalg.norm(want))
-
     for t in (0.0, 0.3, 1.0):
         values, jac = h.eval_jacobian(x, t)
-        assert close(values, h.eval(x, t)) and close(jac, h.jacobian_x(x, t))
+        assert np.array_equal(values, h.eval(x, t))
+        assert np.array_equal(jac, h.jacobian_x(x, t))
         jac, h_t = h.jacobian_dt(x, t)
-        assert close(jac, h.jacobian_x(x, t)) and close(h_t, h.dt(x, t))
+        assert np.array_equal(jac, h.jacobian_x(x, t))
+        assert np.array_equal(h_t, h.dt(x, t))
 
 
 def test_homotopy_rejects_t_outside_unit_interval() -> None:
@@ -329,3 +328,16 @@ def test_json_malformed_raises_value_error() -> None:
         system_from_json({"nvars": 2, "polys": [[{"re": 1.0, "im": 0.0, "exp": [1]}]]})
     with pytest.raises(ValueError):
         system_from_json({"nvars": 1, "polys": [[{"re": "x", "im": 0.0, "exp": [1]}]]})
+
+
+def test_json_requires_integer_nvars_and_exponents() -> None:
+    # int() would read these as a different system without a word
+    term = {"re": 1.0, "im": 0.0, "exp": [2, 0]}
+    good = system_from_json({"nvars": 2, "polys": [[term]]})
+    assert good.polys[0][0].exponents == (2, 0)
+    for exp in ([2.5, 0], [-0.5, 0], [True, 0], [2.0, 0], ["2", 0]):
+        with pytest.raises(ValueError, match="exponent must be an integer"):
+            system_from_json({"nvars": 2, "polys": [[dict(term, exp=exp)]]})
+    for nvars in (2.9, 2.0, True, "2"):
+        with pytest.raises(ValueError, match="nvars must be an integer"):
+            system_from_json({"nvars": nvars, "polys": [[term]]})

@@ -107,6 +107,16 @@ class SqrtEvaluator:
         return self.jacobian_x(x, t), self.dt(x, t)
 
 
+@dataclass
+class OverflowEvaluator:
+    """Newton's update from x = 1e308 is +1e308, so x + dx overflows to inf."""
+
+    nvars: int = 1
+
+    def eval_jacobian(self, x, t):
+        return np.array([-1e308], dtype=complex), np.array([[1.0]], dtype=complex)
+
+
 def test_options_defaults_frozen() -> None:
     assert tracker.H_INIT == pytest.approx(0.05)
     assert tracker.H_MIN == pytest.approx(1e-8)
@@ -183,6 +193,37 @@ def test_track_path_is_deterministic() -> None:
     assert np.array_equal(a.endpoint, b.endpoint)  # bitwise
     assert a.steps_used == b.steps_used
     assert a.newton_iters_total == b.newton_iters_total
+
+
+def test_newton_keeps_last_finite_iterate_on_overflow() -> None:
+    with np.errstate(over="ignore"):
+        x, iters, ok = tracker._newton(OverflowEvaluator(), np.array([1e308 + 0j]), 0.5)
+    assert not ok and iters == 1
+    assert np.all(np.isfinite(x)) and x[0] == 1e308
+
+
+def test_polish_is_one_newton_call_at_t_1(monkeypatch) -> None:
+    calls: list[float] = []
+    iters: list[int] = []
+    newton = tracker._newton
+
+    def spy(h, x, t):
+        out = newton(h, x, t)
+        calls.append(t)
+        iters.append(out[1])
+        return out
+
+    monkeypatch.setattr(tracker, "_newton", spy)
+    res = track_path(closed_form_homotopy(), [1.0])
+    assert res.status == "converged"
+    # one corrector call per step, the last step on t = 1, then the polish
+    assert len(calls) == res.steps_used + 1
+    assert calls[-2:] == [1.0, 1.0]
+    assert sum(iters) == res.newton_iters_total
+    # a path that stops short of t = 1 gets no polish
+    calls.clear()
+    res = track_path(closed_form_homotopy(), [1.0], TrackerOptions(max_steps=3))
+    assert res.status == "failed" and len(calls) == 3
 
 
 def test_track_all_empty() -> None:
