@@ -19,7 +19,6 @@ from .patterns import (
     LocalizationPattern,
     dmp_count,
     pieri_root_count,
-    pieri_tree,
     target_pattern,
     trivial_pattern,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "VerifyReport",
     "dmp_count",
     "pieri_root_count",
-    "pieri_tree",
     "run_dynamic",
     "run_static",
     "solutions_to_json",

@@ -101,7 +101,7 @@ def cmd_track(args: argparse.Namespace) -> int:
     # every path would stop on its start check in a worker; a --tol that no
     # start meets is an input error, so it is reported as one here
     worst = max(float(np.linalg.norm(hom.eval(s, 0.0))) for s in starts)
-    if worst > opts.residual_tol:
+    if not worst <= opts.residual_tol:
         raise ValueError(
             f"start residual {worst:.3e} exceeds --tol {opts.residual_tol:.0e}")
     print(f"system: {len(system.polys)} polynomials in {system.nvars} variables, "

@@ -162,33 +162,6 @@ def _layout(pattern: LocalizationPattern) -> _Layout:
     return _Layout(pattern)
 
 
-# ------------------------------------------------------- map evaluation
-
-
-class MapEvaluator:
-    """The matrix-valued map X(s, t) of one pattern and coefficient set."""
-
-    def __init__(self, pattern: LocalizationPattern, coeffs: np.ndarray):
-        self.pattern = pattern
-        self.coeffs = coeffs
-        self._lay = _layout(pattern)
-
-    def matrix(self, s: complex, t: complex) -> np.ndarray:
-        lay = self._lay
-        return lay.assemble(self.coeffs, lay.monomials(s, t), np.empty((lay.mp, 0)))[0]
-
-
-def instantiate_map(pattern: LocalizationPattern, coeffs) -> MapEvaluator:
-    """Bind a full star-coefficient vector to its pattern."""
-    coeffs = np.asarray(coeffs, dtype=np.complex128)
-    lay = _layout(pattern)
-    if coeffs.shape != (lay.nstars,):
-        raise ValueError(
-            f"pattern {pattern} has {lay.nstars} stars, got {coeffs.shape}"
-        )
-    return MapEvaluator(pattern, coeffs)
-
-
 def special_plane(pattern: LocalizationPattern) -> np.ndarray:
     """The m-plane met exactly when a bottom-pivot coefficient vanishes.
 
@@ -200,25 +173,6 @@ def special_plane(pattern: LocalizationPattern) -> np.ndarray:
     residues = {(b - 1) % mp for b in pattern.bottom}
     keep = [k for k in range(mp) if k not in residues]
     return np.eye(mp)[:, keep]
-
-
-def _condition_matrix(x: MapEvaluator, plane, s: complex, t: complex) -> np.ndarray:
-    plane = np.asarray(plane)
-    mp = x.pattern.m + x.pattern.p
-    if plane.shape != (mp, x.pattern.m):
-        raise ValueError(f"plane must be {mp}x{x.pattern.m}, got {plane.shape}")
-    return x._lay.assemble(x.coeffs, x._lay.monomials(s, t), plane)[0]
-
-
-def condition_residual(x: MapEvaluator, plane, s: complex, t: complex) -> complex:
-    """det of [X(s,t) | plane]: zero means the two planes meet."""
-    return complex(np.linalg.det(_condition_matrix(x, plane, s, t)))
-
-
-def condition_gradient(x: MapEvaluator, plane, s: complex, t: complex) -> np.ndarray:
-    """Derivative of condition_residual in each free coefficient."""
-    a = _condition_matrix(x, plane, s, t)
-    return x._lay.gradient(a, x._lay.monomials(s, t)[0])
 
 
 # --------------------------------------------------------- problem input
@@ -484,9 +438,19 @@ def solution_from_free(
     problem: ProblemInput, pattern: LocalizationPattern, free: np.ndarray
 ) -> SolutionMap:
     full = full_coefficients(pattern, free)
-    lay = _layout(pattern)
-    mats = lay.assemble(full, lay.monomials(problem.points, 1.0), problem.planes)
+    mats = _final_conditions(problem, pattern, full)
     return SolutionMap(pattern, full, np.abs(np.linalg.det(mats)))
+
+
+def _final_conditions(
+    problem: ProblemInput, pattern: LocalizationPattern, full
+) -> np.ndarray:
+    """The n condition matrices [X(s_i, 1) | L_i] of a full star vector."""
+    full = np.asarray(full, dtype=np.complex128)
+    lay = _layout(pattern)
+    if full.shape != (lay.nstars,):
+        raise ValueError(f"pattern {pattern} has {lay.nstars} stars, got {full.shape}")
+    return lay.assemble(full, lay.monomials(problem.points, 1.0), problem.planes)
 
 
 @dataclass
@@ -748,14 +712,13 @@ def verify(solutions, problem: ProblemInput) -> VerifyReport:
     Residuals are |det| divided by the product of row norms (so a badly
     scaled matrix cannot hide a miss), and solutions are compared pairwise
     by normalized coefficient distance: pairs within SAME_ROOT_TOL are
-    duplicates.
+    duplicates.  A solution whose coefficient count is not its pattern's
+    star count raises ValueError.
     """
     count = len(solutions)
     residuals = np.zeros((count, problem.n))
     for si, sol in enumerate(solutions):
-        ev = instantiate_map(sol.pattern, sol.coefficients)
-        lay = ev._lay
-        a = lay.assemble(ev.coeffs, lay.monomials(problem.points, 1.0), problem.planes)
+        a = _final_conditions(problem, sol.pattern, sol.coefficients)
         raw = np.abs(np.linalg.det(a))
         scale = np.prod(np.linalg.norm(a, axis=2), axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):

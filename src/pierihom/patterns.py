@@ -110,24 +110,19 @@ def _shift(pattern: LocalizationPattern, j: int, delta: int) -> LocalizationPatt
     return LocalizationPattern(pattern.m, pattern.p, pattern.q, tuple(bottom))
 
 
+def _neighbours(pattern: LocalizationPattern, delta: int) -> list[LocalizationPattern]:
+    shifted = (_shift(pattern, j, delta) for j in range(pattern.p))
+    return [s for s in shifted if s is not None]
+
+
 def children(pattern: LocalizationPattern) -> list[LocalizationPattern]:
     """Single bottom-pivot decrements, column index ascending."""
-    out = []
-    for j in range(pattern.p):
-        shifted = _shift(pattern, j, -1)
-        if shifted is not None:
-            out.append(shifted)
-    return out
+    return _neighbours(pattern, -1)
 
 
 def increments(pattern: LocalizationPattern) -> list[LocalizationPattern]:
     """Single bottom-pivot increments, column index ascending."""
-    out = []
-    for j in range(pattern.p):
-        shifted = _shift(pattern, j, +1)
-        if shifted is not None:
-            out.append(shifted)
-    return out
+    return _neighbours(pattern, +1)
 
 
 def count_paths(lower: LocalizationPattern, upper: LocalizationPattern) -> int:

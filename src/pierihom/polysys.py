@@ -224,6 +224,9 @@ def system_from_json(obj: Any) -> PolySystem:
             terms = []
             for t in poly:
                 coeff = complex(float(t["re"]), float(t["im"]))
+                # json reads NaN, Infinity and 1e400 as non-finite floats
+                if not np.isfinite(coeff):
+                    raise ValueError(f"coefficient must be finite, got {coeff}")
                 exps = tuple(_json_int(e, "exponent") for e in t["exp"])
                 terms.append(Term(coeff, exps))
             polys.append(terms)

@@ -96,7 +96,7 @@ def track_path(
     opts = opts or TrackerOptions()
     x = np.asarray(start, dtype=np.complex128).copy()
     start_residual = float(np.linalg.norm(h.eval(x, 0.0)))
-    if start_residual > opts.residual_tol:
+    if not start_residual <= opts.residual_tol:  # NaN fails this too
         raise ValueError(
             f"start residual {start_residual:.3e} exceeds {opts.residual_tol:.0e}"
         )

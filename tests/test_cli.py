@@ -205,6 +205,23 @@ def test_track_non_integer_exponent_exit_2(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_track_non_finite_coefficient_exit_2(tmp_path, capsys):
+    # json reads the NaN and Infinity tokens, and 1e400 overflows to inf
+    template = (
+        '{"nvars": 2, "polys": [[{"re": 1.0, "im": 0.0, "exp": [2, 0]},'
+        ' {"re": %s, "im": %s, "exp": [0, 0]}],'
+        ' [{"re": 1.0, "im": 0.0, "exp": [0, 2]},'
+        ' {"re": -9.0, "im": 0.0, "exp": [0, 0]}]]}'
+    )
+    for i, pair in enumerate((("NaN", "0.0"), ("-4.0", "1e400"), ("-Infinity", "0.0"))):
+        path = tmp_path / f"bad{i}.json"
+        path.write_text(template % pair)
+        out = tmp_path / f"bad{i}_ends.json"
+        assert main(["track", "--input", str(path), "--output", str(out)]) == 2
+        assert "coefficient must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_track_empty_system_exit_2(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"nvars": 2, "polys": []}))

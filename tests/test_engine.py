@@ -1,8 +1,10 @@
 """Tests for the intersection-condition engine and the recursive solve.
 
 Oracles: a pure-Python Laplace determinant, a naive per-entry map builder,
-central finite differences for every gradient, a closed-form linear solve
-for the very first edge, and poset path counting for all bookkeeping.
+the adjugate and central finite differences for every gradient, a
+closed-form linear solve for the very first edge, and poset path counting
+for all bookkeeping.  No oracle goes through the solver's coefficient
+layout, engine._Layout.
 """
 from __future__ import annotations
 
@@ -23,18 +25,14 @@ from pierihom.engine import (
     EdgeHomotopy,
     EdgeTask,
     LossRecord,
-    MapEvaluator,
     PieriTreeSource,
     ProblemInput,
     SolutionMap,
     _coeff_distance,
-    condition_gradient,
-    condition_residual,
     embed_start,
     free_coefficients,
     free_slots,
     full_coefficients,
-    instantiate_map,
     solution_from_free,
     solutions_to_json,
     solve_pieri,
@@ -86,6 +84,41 @@ def naive_map_matrix(
             idx += 1
     assert idx == len(coeffs)
     return x
+
+
+def oracle_det(pattern: LocalizationPattern, coeffs, plane, s, t) -> complex:
+    """det([X(s,t) | plane]) on the per-entry map."""
+    a = np.concatenate([naive_map_matrix(pattern, coeffs, s, t), plane], axis=1)
+    return complex(np.linalg.det(a))
+
+
+def oracle_gradient(pattern: LocalizationPattern, coeffs, plane, s, t) -> np.ndarray:
+    """Derivative of oracle_det in each free coefficient, by the adjugate.
+
+    A free coefficient enters one entry (r, j) of A times its monomial, so
+    its derivative is that monomial times the cofactor det(A) inv(A)[j, r].
+    """
+    a = np.concatenate([naive_map_matrix(pattern, coeffs, s, t), plane], axis=1)
+    cof = np.linalg.det(a) * np.linalg.inv(a).T
+    mp = pattern.m + pattern.p
+    grad = []
+    for j, row in free_slots(pattern):
+        k, kmax = (row - 1) // mp, (pattern.bottom[j] - 1) // mp
+        grad.append(cof[(row - 1) % mp, j] * s**k * t ** (kmax - k))
+    return np.array(grad)
+
+
+def layout_stack(pattern: LocalizationPattern, coeffs, s, t, planes):
+    """The solver's stack [X(s_i, t_i) | planes_i] and its star weights."""
+    lay = engine._layout(pattern)
+    mono = lay.monomials(s, t)
+    return lay.assemble(np.asarray(coeffs, dtype=np.complex128), mono, planes), mono
+
+
+def layout_map(pattern: LocalizationPattern, coeffs, s, t) -> np.ndarray:
+    """X(s, t) as the solver assembles it: a stack with no plane columns."""
+    mp = pattern.m + pattern.p
+    return layout_stack(pattern, coeffs, s, t, np.empty((mp, 0)))[0][0]
 
 
 def random_full_coeffs(pattern: LocalizationPattern, rng) -> np.ndarray:
@@ -152,23 +185,21 @@ def test_instantiate_map_constant_for_static_problems() -> None:
     rng = np.random.default_rng(0)
     pat = target_pattern(2, 2, 0)
     coeffs = random_full_coeffs(pat, rng)
-    ev = instantiate_map(pat, coeffs)
-    base = ev.matrix(0.3 + 0.1j, 1.0)
-    assert np.allclose(ev.matrix(2.0 - 1.0j, 0.25), base)
-    assert np.allclose(ev.matrix(0.0, 0.0), base)
+    base = layout_map(pat, coeffs, 0.3 + 0.1j, 1.0)
+    assert np.allclose(layout_map(pat, coeffs, 2.0 - 1.0j, 0.25), base)
+    assert np.allclose(layout_map(pat, coeffs, 0.0, 0.0), base)
 
 
 def test_instantiate_map_frozen_example() -> None:
     # pattern [4,7] for (2,2,1): column 2 folds rows 5..7 onto rows 1..3
     pat = LocalizationPattern(2, 2, 1, (4, 7))
     coeffs = np.array([1, 2, 3, 4, 1, 5, 6, 7, 8, 9], dtype=np.complex128)
-    ev = instantiate_map(pat, coeffs)
-    at_01 = ev.matrix(0.0, 1.0)  # s = 0 keeps only the degree-0 block
+    at_01 = layout_map(pat, coeffs, 0.0, 1.0)  # s = 0 keeps only the degree-0 block
     assert np.array_equal(
         at_01,
         np.array([[1, 0], [2, 1], [3, 5], [4, 6]], dtype=np.complex128),
     )
-    at_11 = ev.matrix(1.0, 1.0)  # both blocks summed
+    at_11 = layout_map(pat, coeffs, 1.0, 1.0)  # both blocks summed
     assert np.array_equal(
         at_11,
         np.array([[1, 7], [2, 9], [3, 14], [4, 6]], dtype=np.complex128),
@@ -178,7 +209,7 @@ def test_instantiate_map_frozen_example() -> None:
     for _ in range(5):
         s = rng.standard_normal() + 1j * rng.standard_normal()
         t = rng.uniform()
-        assert np.allclose(ev.matrix(s, t), naive_map_matrix(pat, coeffs, s, t))
+        assert np.allclose(layout_map(pat, coeffs, s, t), naive_map_matrix(pat, coeffs, s, t))
 
 
 def test_instantiate_map_low_block_column_is_constant() -> None:
@@ -187,17 +218,10 @@ def test_instantiate_map_low_block_column_is_constant() -> None:
     # point at infinity (s,t) = (1,0)
     pat = LocalizationPattern(2, 2, 1, (3, 4))
     coeffs = np.array([1, 2, 3, 1, 4, 5], dtype=np.complex128)
-    ev = instantiate_map(pat, coeffs)
-    base = ev.matrix(0.0, 1.0)
-    assert np.array_equal(ev.matrix(1.0, 0.0), base)
-    assert np.array_equal(ev.matrix(0.7, 0.2), base)
+    base = layout_map(pat, coeffs, 0.0, 1.0)
+    assert np.array_equal(layout_map(pat, coeffs, 1.0, 0.0), base)
+    assert np.array_equal(layout_map(pat, coeffs, 0.7, 0.2), base)
     assert np.any(base[:, 1] != 0)
-
-
-def test_instantiate_map_size_mismatch() -> None:
-    pat = target_pattern(2, 2, 0)
-    with pytest.raises(ValueError):
-        instantiate_map(pat, np.ones(3, dtype=np.complex128))
 
 
 # -------------------------------------------------------- special plane
@@ -226,8 +250,7 @@ def test_special_plane_bottom_pivot_contract() -> None:
     for m, p, q, bottom in cases:
         pat = LocalizationPattern(m, p, q, bottom)
         coeffs = random_full_coeffs(pat, rng)
-        ev = instantiate_map(pat, coeffs)
-        a = np.concatenate([ev.matrix(1.0, 0.0), special_plane(pat)], axis=1)
+        a = np.concatenate([layout_map(pat, coeffs, 1.0, 0.0), special_plane(pat)], axis=1)
         slots = star_slots(pat)
         bottoms = [coeffs[slots.index((j, b))] for j, b in enumerate(bottom)]
         expect = np.prod(np.abs(bottoms))
@@ -235,8 +258,7 @@ def test_special_plane_bottom_pivot_contract() -> None:
         # zero one bottom pivot: the determinant must vanish identically
         kill = coeffs.copy()
         kill[slots.index((0, bottom[0]))] = 0.0
-        ev0 = instantiate_map(pat, kill)
-        a0 = np.concatenate([ev0.matrix(1.0, 0.0), special_plane(pat)], axis=1)
+        a0 = np.concatenate([layout_map(pat, kill, 1.0, 0.0), special_plane(pat)], axis=1)
         assert abs(laplace_det(a0)) <= 1e-14
 
 
@@ -244,11 +266,14 @@ def test_special_plane_bottom_pivot_contract() -> None:
 
 
 def test_condition_residual_identity_cases() -> None:
-    triv = trivial_pattern(2, 2, 0)
-    ev = instantiate_map(triv, np.array([1.0, 1.0], dtype=np.complex128))
+    # the trivial map's columns are e1, e2: planes spanned by e3, e4 meet
+    # it only at 0 (|det| = 1), planes containing e1 meet it (det = 0)
     eye = np.eye(4, dtype=np.complex128)
-    assert abs(condition_residual(ev, eye[:, [2, 3]], 0.5, 1.0)) == 1.0
-    assert condition_residual(ev, eye[:, [0, 3]], 0.5, 1.0) == 0.0
+    planes = [eye[:, [2, 3]], eye[:, [0, 3]], eye[:, [3, 2]], eye[:, [1, 2]]]
+    problem = ProblemInput(2, 2, 0, 0, planes, [0.5, -0.5, 0.5j, -0.5j])
+    sol = solution_from_free(problem, trivial_pattern(2, 2, 0), np.zeros(0))
+    assert np.array_equal(sol.coefficients, [1.0, 1.0])
+    assert np.array_equal(sol.residuals, [1.0, 0.0, 1.0, 0.0])
 
 
 def test_condition_residual_matches_concatenate_then_det() -> None:
@@ -258,13 +283,14 @@ def test_condition_residual_matches_concatenate_then_det() -> None:
         m, p, q, bottom = cases[seed % len(cases)]
         pat = LocalizationPattern(m, p, q, bottom)
         coeffs = random_full_coeffs(pat, rng)
-        ev = instantiate_map(pat, coeffs)
-        plane = rng.standard_normal((m + p, m)) + 1j * rng.standard_normal((m + p, m))
-        s = rng.standard_normal() + 1j * rng.standard_normal()
-        t = rng.uniform()
-        got = condition_residual(ev, plane, s, t)
-        want = laplace_det(np.concatenate([ev.matrix(s, t), plane], axis=1))
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+        planes = rng.standard_normal((3, m + p, m)) + 1j * rng.standard_normal((3, m + p, m))
+        s = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        t = rng.uniform(size=3)
+        got = np.linalg.det(layout_stack(pat, coeffs, s, t, planes)[0])
+        for i in range(3):
+            a = np.concatenate([naive_map_matrix(pat, coeffs, s[i], t[i]), planes[i]], axis=1)
+            want = laplace_det(a)
+            assert abs(got[i] - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_condition_gradient_matches_finite_differences() -> None:
@@ -278,7 +304,7 @@ def test_condition_gradient_matches_finite_differences() -> None:
         plane = rng.standard_normal((m + p, m)) + 1j * rng.standard_normal((m + p, m))
         s = rng.standard_normal() + 1j * rng.standard_normal()
         t = rng.uniform(0.1, 1.0)
-        grad = condition_gradient(instantiate_map(pat, coeffs), plane, s, t)
+        grad = engine._layout(pat).gradient(*layout_stack(pat, coeffs, s, t, plane))[0]
         slots = star_slots(pat)
         free = free_slots(pat)
         assert grad.shape == (len(free),)
@@ -288,8 +314,7 @@ def test_condition_gradient_matches_finite_differences() -> None:
             up[i] += h
             dn[i] -= h
             fd = (
-                condition_residual(instantiate_map(pat, up), plane, s, t)
-                - condition_residual(instantiate_map(pat, dn), plane, s, t)
+                oracle_det(pat, up, plane, s, t) - oracle_det(pat, dn, plane, s, t)
             ) / (2 * h)
             assert abs(grad[fi] - fd) <= 1e-6 * max(1.0, abs(fd))
 
@@ -301,7 +326,7 @@ def test_condition_gradient_low_degree_terms_die_at_infinity() -> None:
     rng = np.random.default_rng(9)
     coeffs = random_full_coeffs(pat, rng)
     plane = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-    grad = condition_gradient(instantiate_map(pat, coeffs), plane, 1.0, 0.0)
+    grad = engine._layout(pat).gradient(*layout_stack(pat, coeffs, 1.0, 0.0, plane))[0]
     mp = 4
     for fi, (col, long_row) in enumerate(free_slots(pat)):
         k = (long_row - 1) // mp
@@ -367,12 +392,12 @@ def test_edge_homotopy_endpoint_equations() -> None:
     assert hom.nvars == k
     rng = np.random.default_rng(2)
     x = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    ev = instantiate_map(dest, full_coefficients(dest, x))
+    full = full_coefficients(dest, x)
     vals = hom.eval(x, 1.0)
     # moving equation at t=1 is condition k; the pinned rows are 1..k-1
-    assert np.isclose(vals[0], condition_residual(ev, problem.planes[k - 1], problem.points[k - 1], 1.0))
+    assert np.isclose(vals[0], oracle_det(dest, full, problem.planes[k - 1], problem.points[k - 1], 1.0))
     for i in range(1, k):
-        assert np.isclose(vals[i], condition_residual(ev, problem.planes[i - 1], problem.points[i - 1], 1.0))
+        assert np.isclose(vals[i], oracle_det(dest, full, problem.planes[i - 1], problem.points[i - 1], 1.0))
 
 
 def test_edge_homotopy_midpoint_matches_oracle() -> None:
@@ -385,8 +410,8 @@ def test_edge_homotopy_midpoint_matches_oracle() -> None:
     t = 0.37
     s_move = (1 - t) + problem.points[k - 1] * t
     plane = (1 - t) * special_plane(dest) + t * problem.planes[k - 1]
-    ev = instantiate_map(dest, full_coefficients(dest, x))
-    want = laplace_det(np.concatenate([ev.matrix(s_move, t), plane], axis=1))
+    x_move = naive_map_matrix(dest, full_coefficients(dest, x), s_move, t)
+    want = laplace_det(np.concatenate([x_move, plane], axis=1))
     got = hom.eval(x, t)[0]
     assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
 
@@ -444,16 +469,16 @@ def test_fused_edge_kernels_match_condition_oracles(m, p, q, seed) -> None:
         t = complex(rng.uniform(0.1, 0.9), rng.uniform(-0.3, 0.3))
         h, jac = hom.eval_jacobian(x, t)
         jac_dt, h_t = hom.jacobian_dt(x, t)
-        ev = instantiate_map(dest, full_coefficients(dest, x))
+        full = full_coefficients(dest, x)
         s_t = (1 - t) + problem.points[k - 1] * t
         plane_t = (1 - t) * special_plane(dest) + t * problem.planes[k - 1]
         oracle = [(plane_t, s_t, t)] + [
             (problem.planes[i], problem.points[i], 1.0) for i in range(k - 1)
         ]
         for row, (plane, s_i, t_i) in enumerate(oracle):
-            want = condition_residual(ev, plane, s_i, t_i)
+            want = oracle_det(dest, full, plane, s_i, t_i)
             assert abs(h[row] - want) <= 1e-12 * max(1.0, abs(want))
-            grad = condition_gradient(ev, plane, s_i, t_i)
+            grad = oracle_gradient(dest, full, plane, s_i, t_i)
             assert np.allclose(jac[row], grad, rtol=1e-12, atol=1e-12)
         step = 1e-6
         fd = (hom.eval(x, t + step) - hom.eval(x, t - step)) / (2 * step)
@@ -1087,14 +1112,22 @@ def test_verify_flags_duplicates() -> None:
     assert report.min_distance <= 1e-12
 
 
+def test_verify_rejects_wrong_coefficient_count() -> None:
+    problem, result = solved(2, 2, 0, 1)
+    sol = result.solutions[0]
+    for coeffs in (sol.coefficients[:-1], np.ones(3, dtype=np.complex128)):
+        short = SolutionMap(sol.pattern, coeffs, sol.residuals)
+        with pytest.raises(ValueError, match="stars"):
+            verify([short], problem)
+
+
 def test_solution_from_free_residuals_are_raw_determinants() -> None:
     problem, result = solved(2, 2, 0, 1)
     sol = result.solutions[0]
     free = free_coefficients(sol.pattern, sol.coefficients)
     rebuilt = solution_from_free(problem, sol.pattern, free)
-    ev = instantiate_map(sol.pattern, sol.coefficients)
     for i in range(problem.n):
-        want = abs(condition_residual(ev, problem.planes[i], problem.points[i], 1.0))
+        want = abs(oracle_det(sol.pattern, sol.coefficients, problem.planes[i], problem.points[i], 1.0))
         assert np.isclose(rebuilt.residuals[i], want)
 
 

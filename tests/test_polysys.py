@@ -5,6 +5,7 @@ against an independently written per-term evaluator and frozen hand values.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -328,6 +329,15 @@ def test_json_malformed_raises_value_error() -> None:
         system_from_json({"nvars": 2, "polys": [[{"re": 1.0, "im": 0.0, "exp": [1]}]]})
     with pytest.raises(ValueError):
         system_from_json({"nvars": 1, "polys": [[{"re": "x", "im": 0.0, "exp": [1]}]]})
+
+
+def test_json_rejects_non_finite_coefficients() -> None:
+    # json.loads reads NaN and Infinity tokens, and 1e400 overflows to inf
+    term = '{"re": %s, "im": %s, "exp": [1]}'
+    for pair in (("NaN", "0"), ("1", "Infinity"), ("-Infinity", "0"), ("1", "1e400")):
+        obj = json.loads('{"nvars": 1, "polys": [[%s]]}' % (term % pair))
+        with pytest.raises(ValueError, match="coefficient must be finite"):
+            system_from_json(obj)
 
 
 def test_json_requires_integer_nvars_and_exponents() -> None:

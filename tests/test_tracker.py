@@ -161,8 +161,10 @@ def test_stationary_homotopy_keeps_start_point() -> None:
 
 def test_start_residual_precondition() -> None:
     h = closed_form_homotopy()
-    with pytest.raises(ValueError):
-        track_path(h, [1.5])  # not a start solution
+    # not a start solution; a non-finite start has a NaN or inf residual
+    for start in (1.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match="start residual"), np.errstate(invalid="ignore"):
+            track_path(h, [start])
 
 
 def test_divergent_path_reports_diverged() -> None:
