@@ -98,9 +98,9 @@ def cmd_track(args: argparse.Namespace) -> int:
     gamma = complex(np.exp(2j * np.pi * rng.uniform()))
     hom = Homotopy(target=system, start=start, gamma=gamma)
     opts = _tracker_options(args)
-    # every path would stop on its start check in a worker; a --tol that no
-    # start meets is an input error, so it is reported as one here
-    worst = max(float(np.linalg.norm(hom.eval(s, 0.0))) for s in starts)
+    # a worker's batch would stop on its start check; a --tol that a start
+    # misses is an input error, so it is reported as one here
+    worst = float(np.max(np.linalg.norm(hom.eval(np.array(starts), 0.0), axis=-1)))
     if not worst <= opts.residual_tol:
         raise ValueError(
             f"start residual {worst:.3e} exceeds --tol {opts.residual_tol:.0e}")

@@ -11,7 +11,23 @@ CORRECTOR_TOL.  Step control starts at H_INIT, halves the attempted step
 on corrector failure and grows it by 1.5 after three consecutive
 successes, up to H_MAX; a path fails once the step falls below H_MIN and
 diverges once its norm reaches DIVERGENCE_NORM.  The final step lands
-exactly on t = 1, where one more ``_newton`` call polishes the endpoint.
+exactly on t = 1, where one more corrector call polishes the endpoint.
+
+Two loops apply these rules, chosen by the input:
+
+- ``track_path`` tracks one path, the case of the Pieri engine, where
+  every edge is its own homotopy;
+- ``track_paths`` tracks many paths of one homotopy in lockstep: each
+  round is one stacked predictor evaluation and solve for every running
+  path, then stacked Newton iterations over the paths still correcting,
+  and each path keeps its own t, step and counters.  Its homotopy takes a
+  stack of points (k, nvars) with one t per point (k,).  ``track_all``
+  hands each worker one such stack.
+
+Every stacked operation is elementwise in the path axis, solves each
+matrix on its own or reduces along the last axis, so a path's result is
+bitwise the same in any batch, and so across schedules and worker counts.
+A batch of one is slower than ``track_path``, which is why both loops stay.
 """
 from __future__ import annotations
 
@@ -21,7 +37,7 @@ from typing import Any, Protocol, Sequence
 
 import numpy as np
 
-from .linalg import SingularMatrixError, solve_linear
+from .linalg import SingularMatrixError, solve_linear, solve_stack
 from .scheduler import JobMessage, run_dynamic, run_static
 
 H_INIT = 0.05
@@ -33,6 +49,8 @@ DIVERGENCE_NORM = 1e8
 
 
 class HomotopyLike(Protocol):
+    """What the tracker evaluates; ``track_paths`` passes stacks (k, nvars), (k,)."""
+
     nvars: int
 
     def eval(self, x, t: float) -> np.ndarray: ...
@@ -57,7 +75,7 @@ class TrackerOptions:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class PathResult:
     status: str  # "converged" | "diverged" | "failed"
     endpoint: np.ndarray
@@ -182,16 +200,148 @@ class GammaArc:
         return jac, h_t * (self.gamma / (1.0 + (self.gamma - 1.0) * tau) ** 2)
 
 
+def _newton_stack(
+    h: HomotopyLike, x: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_newton`` on each row of x at its own t: (x, iters, ok) per row."""
+    x = x.copy()
+    iters = np.full(len(x), MAX_CORRECTOR_ITERS)
+    ok = np.zeros(len(x), dtype=bool)
+    rows = np.arange(len(x))
+    for it in range(1, MAX_CORRECTOR_ITERS + 1):
+        res, jac = h.eval_jacobian(x[rows], t[rows])
+        dx, solved = solve_stack(jac, -res)
+        dx[~solved] = 0.0  # undefined there; zero keeps the arithmetic below quiet
+        x_new = x[rows] + dx
+        step_ok = solved & np.all(np.isfinite(x_new), axis=-1)
+        x[rows[step_ok]] = x_new[step_ok]  # a failed row keeps its last finite iterate
+        done = step_ok & (np.linalg.norm(dx, axis=-1) <= CORRECTOR_TOL)
+        ok[rows[done]] = True
+        iters[rows[~step_ok | done]] = it
+        rows = rows[step_ok & ~done]
+        if not rows.size:
+            break
+    return x, iters, ok
+
+
+def _lockstep(
+    h: HomotopyLike, starts: Sequence[Sequence[complex]], opts: TrackerOptions
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The loop of ``track_paths`` over one or more starts.
+
+    Returns one row per path: (status, endpoint, t_reached, residual,
+    steps_used, newton_iters_total).
+    """
+    x = np.array(starts, dtype=np.complex128).reshape(len(starts), h.nvars)
+    count = len(x)
+    start_residual = np.linalg.norm(h.eval(x, np.zeros(count)), axis=-1)
+    bad = np.flatnonzero(~(start_residual <= opts.residual_tol))  # NaN is bad too
+    if bad.size:
+        raise ValueError(f"start residual {start_residual[bad[0]]:.3e} of path "
+                         f"{bad[0]} exceeds {opts.residual_tol:.0e}")
+    t = np.zeros(count)
+    step = np.full(count, H_INIT)
+    consecutive = np.zeros(count, dtype=int)
+    steps_used = np.zeros(count, dtype=int)
+    newton_total = np.zeros(count, dtype=int)
+    status: list[str | None] = [None] * count
+    running = np.ones(count, dtype=bool)  # status None and t < 1
+
+    def stop(paths: np.ndarray, why: str) -> None:
+        running[paths] = False
+        for k in paths:
+            status[k] = why
+
+    while True:
+        stop(np.flatnonzero(running & (steps_used >= opts.max_steps)), "failed")
+        idx = np.flatnonzero(running)
+        if not idx.size:
+            break
+        t_idx, x_idx = t[idx], x[idx]
+        dt = np.minimum(step[idx], 1.0 - t_idx)
+        t_new = np.where(dt >= 1.0 - t_idx, 1.0, t_idx + dt)
+        jac, h_t = h.jacobian_dt(x_idx, t_idx)
+        tangent, solved = solve_stack(jac, -h_t)
+        tangent[~solved] = 0.0  # undefined there, and replaced just below
+        x_pred = x_idx + tangent * dt[:, None]
+        # zero-order fallback on a singular or overflowing tangent
+        fallback = ~solved | ~np.all(np.isfinite(x_pred), axis=-1)
+        x_pred[fallback] = x_idx[fallback]
+        x_corr, iters, ok = _newton_stack(h, x_pred, t_new)
+        steps_used[idx] += 1
+        newton_total[idx] += iters
+
+        acc = idx[ok]
+        x[acc], t[acc] = x_corr[ok], t_new[ok]
+        consecutive[acc] += 1
+        grow = acc[consecutive[acc] >= 3]
+        step[grow] = np.minimum(step[grow] * 1.5, H_MAX)
+        consecutive[grow] = 0
+        stop(acc[np.linalg.norm(x[acc], axis=-1) >= DIVERGENCE_NORM], "diverged")
+        running[acc[t[acc] >= 1.0]] = False
+
+        rej = idx[~ok]
+        consecutive[rej] = 0
+        step[rej] = dt[~ok] / 2.0  # halve the attempted step, not the nominal one
+        stop(rej[step[rej] < H_MIN], "failed")
+
+    landed = np.flatnonzero([s is None for s in status])
+    if landed.size:  # landed exactly on t = 1: polish there
+        x[landed], iters, _ = _newton_stack(h, x[landed], t[landed])
+        newton_total[landed] += iters
+    residual = np.linalg.norm(h.eval(x, t), axis=-1)
+    for k in landed:
+        status[k] = "converged" if residual[k] <= opts.residual_tol else "failed"
+    return status, x, t, residual, steps_used, newton_total
+
+
+def _path_results(
+    status: list[str], x: np.ndarray, t: np.ndarray, residual: np.ndarray,
+    steps_used: np.ndarray, newton_total: np.ndarray,
+) -> list[PathResult]:
+    """One PathResult per row of ``_lockstep``'s arrays.
+
+    A caller may keep many results, so each holds little beyond its own
+    objects: the endpoints are rows of a copy made here, on the caller's
+    thread, rather than of the array the loop grew in a worker's heap, and
+    every path that reached t = 1 shares one float.
+    """
+    t_reached = [1.0 if v == 1.0 else v for v in t.tolist()]
+    return [PathResult(*row) for row in zip(
+        status, x.copy(), t_reached, residual.tolist(), steps_used.tolist(),
+        newton_total.tolist(),
+    )]
+
+
+def track_paths(
+    h: HomotopyLike, starts: Sequence[Sequence[complex]],
+    opts: TrackerOptions | None = None,
+) -> list[PathResult]:
+    """Track many paths of one homotopy in lockstep, results in start order.
+
+    Each path follows ``track_path``'s rules and constants, with its own
+    start check, t = 1 polish and ``residual_tol`` gate; a start that
+    misses ``residual_tol`` raises a ValueError for the whole call.  A
+    path's result does not depend on which other paths share the call.
+    """
+    opts = opts or TrackerOptions()
+    return _path_results(*_lockstep(h, starts, opts)) if len(starts) else []
+
+
 @dataclass(frozen=True)
-class TrackTask:
-    """Self-contained payload: one start point against one homotopy."""
+class _PathStack:
+    """Scheduler payload: a stack of starts against one homotopy.
+
+    The worker sends back ``_lockstep``'s arrays, and ``track_all`` builds
+    the results.
+    """
 
     homotopy: Any
-    start: np.ndarray
+    starts: np.ndarray
     options: TrackerOptions
 
-    def run(self) -> PathResult:
-        return track_path(self.homotopy, self.start, self.options)
+    def run(self) -> tuple:
+        return _lockstep(self.homotopy, self.starts, self.options)
 
 
 def track_all(
@@ -203,24 +353,24 @@ def track_all(
 ) -> list[PathResult]:
     """Track every start point, returning results in start order.
 
-    Paths are independent, so both schedules are allowed; the per-path
-    results are bitwise identical regardless of schedule or worker count.
+    Worker w gets one ``track_paths`` batch, the paths i with
+    i mod workers == w, dispatched by ``run_static`` or ``run_dynamic`` as
+    ``schedule`` says.  A path's result does not depend on its batch, so
+    the per-path results are bitwise identical regardless of schedule or
+    worker count.
     """
     opts = opts or TrackerOptions()
-    jobs = [
-        JobMessage(i, TrackTask(h, np.asarray(s, dtype=np.complex128), opts))
-        for i, s in enumerate(starts)
-    ]
-    if schedule == "static":
-        results = run_static(jobs, workers)
-    elif schedule == "dynamic":
-        results = run_dynamic(jobs, workers)
-    else:
+    if schedule not in ("static", "dynamic"):
         raise ValueError(f"unknown schedule {schedule!r}")
-    results = sorted(results, key=lambda r: r.job_id)
-    out: list[PathResult] = []
-    for r in results:
+    stack = np.array(starts, dtype=np.complex128).reshape(len(starts), h.nvars)
+    lanes = [np.arange(w, len(stack), workers) for w in range(workers)]
+    jobs = [JobMessage(w, _PathStack(h, stack[lane], opts))
+            for w, lane in enumerate(lanes) if lane.size]
+    run = run_static if schedule == "static" else run_dynamic
+    out: list[PathResult] = [None] * len(stack)  # type: ignore[list-item]
+    for r in run(jobs, workers):
         if r.status != "ok":
-            raise RuntimeError(f"worker failed on path {r.job_id}: {r.payload}")
-        out.append(r.payload)
+            raise RuntimeError(f"worker failed on batch {r.job_id}: {r.payload}")
+        for i, res in zip(lanes[r.job_id], _path_results(*r.payload)):
+            out[i] = res
     return out

@@ -222,6 +222,18 @@ def test_track_non_finite_coefficient_exit_2(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_track_non_number_coefficient_exit_2(tmp_path, capsys):
+    # true and "2.5" are not JSON numbers: no tracking, no endpoints file
+    doc = {"nvars": 1, "polys": [[{"re": True, "im": "2.5", "exp": [1]},
+                                  {"re": -4.0, "im": 0.0, "exp": [0]}]]}
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "bool_ends.json"
+    assert main(["track", "--input", str(path), "--output", str(out)]) == 2
+    assert "must be a number" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_track_empty_system_exit_2(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"nvars": 2, "polys": []}))

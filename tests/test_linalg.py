@@ -17,6 +17,7 @@ from pierihom.linalg import (
     det,
     lu_decompose,
     solve_linear,
+    solve_stack,
 )
 
 
@@ -143,6 +144,34 @@ def test_solve_raises_whenever_lu_pivot_is_below_threshold() -> None:
         with pytest.raises(SingularMatrixError):
             solve_linear(a, random_complex(rng, n))
     assert flagged >= 50
+
+
+def test_solve_stack_agrees_with_solve_linear_per_matrix() -> None:
+    # a stack across the singularity threshold, with and without an exactly
+    # singular matrix (which makes LAPACK stop the whole stacked call)
+    rng = np.random.default_rng(20261020)
+    n = 4
+    mats = []
+    for _ in range(40):
+        q1, _ = np.linalg.qr(random_complex(rng, (n, n)))
+        q2, _ = np.linalg.qr(random_complex(rng, (n, n)))
+        sigma = np.sort(rng.uniform(0.1, 10.0, n))[::-1]
+        sigma[-1] = 10.0 ** rng.uniform(-17, -9)
+        mats.append((q1 * sigma) @ q2)
+    rhs = random_complex(rng, (40, n))
+    for a in (np.array(mats), np.array(mats[:20] + [np.zeros((n, n))] + mats[20:])):
+        b = rhs if len(a) == 40 else np.insert(rhs, 20, 1.0, axis=0)
+        x, ok = solve_stack(a, b)
+        assert x.shape == (len(a), n) and ok.shape == (len(a),)
+        for k in range(len(a)):
+            try:
+                want = solve_linear(a[k], b[k])
+            except SingularMatrixError:
+                assert not ok[k]
+            else:
+                assert ok[k]
+                assert np.array_equal(x[k], want)  # each matrix solved alone
+        assert 5 <= np.count_nonzero(~ok) <= 35
 
 
 def test_cofactor_hand_values() -> None:

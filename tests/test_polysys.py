@@ -86,6 +86,10 @@ def test_evaluate_rejects_wrong_arity() -> None:
     f = x_squared_minus(1.0)
     with pytest.raises(ValueError):
         f.evaluate([1.0, 2.0])
+    with pytest.raises(ValueError):
+        f.evaluate(1.0)
+    with pytest.raises(ValueError, match="nvars must be positive"):
+        PolySystem(0, [[Term(1.0, ())]])
 
 
 def test_jacobian_frozen_values() -> None:
@@ -243,6 +247,45 @@ def test_homotopy_fused_calls_match_separate_ones() -> None:
         assert np.array_equal(h_t, h.dt(x, t))
 
 
+def test_stacked_points_match_single_points_bitwise() -> None:
+    # a point's values do not depend on the other points of its stack
+    rng = np.random.default_rng(45)
+    f = random_system(rng, 3, 3)
+    g = random_system(rng, 3, 3)
+    h = Homotopy(target=f, start=g, gamma=np.exp(0.9j))
+    xs = rng.standard_normal((2, 5, 3)) + 1j * rng.standard_normal((2, 5, 3))
+    ts = rng.uniform(size=(2, 5))
+    values, jac = f.evaluate_jacobian(xs)
+    assert values.shape == (2, 5, 3) and jac.shape == (2, 5, 3, 3)
+    for call in (h.eval_jacobian, h.jacobian_dt):
+        stacked = call(xs, ts)
+        for i in range(2):
+            for k in range(5):
+                for whole, one in zip(stacked, call(xs[i, k], ts[i, k])):
+                    assert np.array_equal(whole[i, k], one)
+    for i in range(2):
+        for k in range(5):
+            assert np.array_equal(values[i, k], f.evaluate(xs[i, k]))
+            assert np.array_equal(jac[i, k], f.jacobian(xs[i, k]))
+    # one table for start and target gives the convex combination
+    x, t = xs[0, 0], ts[0, 0]
+    want = h.gamma * (1 - t) * g.evaluate(x) + t * f.evaluate(x)
+    assert np.allclose(h.eval(x, t), want, rtol=1e-12, atol=1e-12)
+    # a t outside [0, 1] anywhere in the stack is rejected
+    with pytest.raises(ValueError):
+        h.eval(xs[0], np.append(ts[0, :4], 1.5))
+
+
+def test_homotopy_is_frozen() -> None:
+    h = Homotopy(x_squared_minus(4.0), x_squared_minus(1.0), 1.0)
+    before = h.eval([1.5], 0.5)
+    with pytest.raises(FrozenInstanceError):
+        h.gamma = -1.0
+    with pytest.raises(FrozenInstanceError):
+        h.target = x_squared_minus(9.0)
+    assert np.array_equal(h.eval([1.5], 0.5), before)
+
+
 def test_homotopy_rejects_t_outside_unit_interval() -> None:
     h = Homotopy(x_squared_minus(4.0), x_squared_minus(1.0), 1.0)
     for t in (-0.1, 1.1):
@@ -338,6 +381,20 @@ def test_json_rejects_non_finite_coefficients() -> None:
         obj = json.loads('{"nvars": 1, "polys": [[%s]]}' % (term % pair))
         with pytest.raises(ValueError, match="coefficient must be finite"):
             system_from_json(obj)
+
+
+def test_json_requires_number_coefficients() -> None:
+    # float() would read true as 1.0 and "2.5" as 2.5: a different system
+    good = system_from_json({"nvars": 1, "polys": [[{"re": 1, "im": 2.5, "exp": [1]}]]})
+    assert good.polys[0][0].coeff == 1 + 2.5j
+    for re, im in ((True, 0.0), (1.0, "2.5"), (True, "2.5"), (None, 0.0), ([1.0], 0.0)):
+        obj = {"nvars": 1, "polys": [[{"re": re, "im": im, "exp": [1]}]]}
+        with pytest.raises(ValueError, match="must be a number"):
+            system_from_json(obj)
+    # a JSON integer beyond the float range is malformed, not a crash
+    huge = json.loads('{"nvars": 1, "polys": [[{"re": 1%s, "im": 0, "exp": [1]}]]}' % ("0" * 400))
+    with pytest.raises(ValueError):
+        system_from_json(huge)
 
 
 def test_json_requires_integer_nvars_and_exponents() -> None:

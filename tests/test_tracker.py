@@ -15,7 +15,14 @@ import pytest
 from pierihom import tracker
 from pierihom.engine import GAMMAS
 from pierihom.polysys import Homotopy, PolySystem, Term, total_degree_start
-from pierihom.tracker import GammaArc, PathResult, TrackerOptions, track_all, track_path
+from pierihom.tracker import (
+    GammaArc,
+    PathResult,
+    TrackerOptions,
+    track_all,
+    track_path,
+    track_paths,
+)
 
 
 def x_squared_minus(c: float) -> PolySystem:
@@ -24,6 +31,15 @@ def x_squared_minus(c: float) -> PolySystem:
 
 def closed_form_homotopy() -> Homotopy:
     return Homotopy(target=x_squared_minus(4.0), start=x_squared_minus(1.0), gamma=1.0)
+
+
+def column(t) -> np.ndarray:
+    """t as a trailing axis of length 1, for one point or a stack of them."""
+    return np.asarray(t)[..., None]
+
+
+# The 1-variable evaluators below take one point (1,) with one t, or a
+# stack (k, 1) with one t per point (k,), so both tracking loops run them.
 
 
 @dataclass
@@ -37,13 +53,13 @@ class BlowupEvaluator:
     nvars: int = 1
 
     def eval(self, x, t):
-        return np.array([(1.0 - t) ** 4 * x[0] - 1.0], dtype=complex)
+        return ((1.0 - column(t)) ** 4 * x - 1.0).astype(complex)
 
     def jacobian_x(self, x, t):
-        return np.array([[(1.0 - t) ** 4]], dtype=complex)
+        return ((1.0 - column(t)) ** 4)[..., None].astype(complex)
 
     def dt(self, x, t):
-        return np.array([-4.0 * (1.0 - t) ** 3 * x[0]], dtype=complex)
+        return (-4.0 * (1.0 - column(t)) ** 3 * x).astype(complex)
 
     def eval_jacobian(self, x, t):
         return self.eval(x, t), self.jacobian_x(x, t)
@@ -63,17 +79,13 @@ class WallEvaluator:
     nvars: int = 1
 
     def eval(self, x, t):
-        if t < 0.5:
-            return np.array([x[0] - 1.0], dtype=complex)
-        return np.array([1.0], dtype=complex)
+        return np.where(column(t) < 0.5, x - 1.0, 1.0).astype(complex)
 
     def jacobian_x(self, x, t):
-        if t < 0.5:
-            return np.array([[1.0]], dtype=complex)
-        return np.array([[0.0]], dtype=complex)
+        return np.where(column(t) < 0.5, 1.0, 0.0)[..., None].astype(complex)
 
     def dt(self, x, t):
-        return np.array([0.0], dtype=complex)
+        return np.zeros_like(x, dtype=complex)
 
     def eval_jacobian(self, x, t):
         return self.eval(x, t), self.jacobian_x(x, t)
@@ -92,13 +104,13 @@ class SqrtEvaluator:
     nvars: int = 1
 
     def eval(self, x, t):
-        return np.array([x[0] ** 2 - (1.0 + 3.0 * t)], dtype=complex)
+        return (x ** 2 - (1.0 + 3.0 * column(t))).astype(complex)
 
     def jacobian_x(self, x, t):
-        return np.array([[2.0 * x[0]]], dtype=complex)
+        return (2.0 * x)[..., None].astype(complex)
 
     def dt(self, x, t):
-        return np.array([-3.0], dtype=complex)
+        return np.full_like(x, -3.0, dtype=complex)
 
     def eval_jacobian(self, x, t):
         return self.eval(x, t), self.jacobian_x(x, t)
@@ -287,9 +299,9 @@ def test_track_all_random_dense_quadric_converges() -> None:
             assert d > 1e-6
 
 
-def test_track_all_dense_cubic_finds_27_distinct_roots() -> None:
-    # every monomial of degree <= 3 in 3 variables, 20 per polynomial
-    rng = np.random.default_rng(2)
+def dense_cubic_homotopy(seed: int) -> tuple[Homotopy, list[np.ndarray]]:
+    """Every monomial of degree <= 3 in 3 variables, 20 per polynomial."""
+    rng = np.random.default_rng(seed)
     monomials = [e for e in itertools.product(range(4), repeat=3) if sum(e) <= 3]
     assert len(monomials) == 20
     f = PolySystem(3, [
@@ -299,6 +311,12 @@ def test_track_all_dense_cubic_finds_27_distinct_roots() -> None:
     ])
     g, starts = total_degree_start(f, rng)
     h = Homotopy(target=f, start=g, gamma=np.exp(2j * np.pi * rng.uniform()))
+    return h, starts
+
+
+def test_track_all_dense_cubic_finds_27_distinct_roots() -> None:
+    h, starts = dense_cubic_homotopy(2)
+    f = h.target
     results = track_all(h, starts)
     assert len(results) == 27
     assert all(r.status == "converged" for r in results)
@@ -308,6 +326,83 @@ def test_track_all_dense_cubic_finds_27_distinct_roots() -> None:
         for j in range(i + 1, 27):
             d = np.linalg.norm(results[i].endpoint - results[j].endpoint)
             assert d > 1e-4
+
+
+def assert_same_result(a: PathResult, b: PathResult) -> None:
+    """Bitwise equality of two path results."""
+    assert a.status == b.status
+    assert np.array_equal(a.endpoint, b.endpoint)
+    assert a.t_reached == b.t_reached and a.residual == b.residual
+    assert a.steps_used == b.steps_used
+    assert a.newton_iters_total == b.newton_iters_total
+
+
+def test_track_paths_bitwise_invariant_across_batch_splits() -> None:
+    # seed 1 has one path that fails; it must not disturb the other 26
+    for seed in (1, 2):
+        h, starts = dense_cubic_homotopy(seed)
+        whole = track_paths(h, starts)
+        assert len(whole) == 27
+        statuses = [r.status for r in whole]
+        assert statuses.count("converged") == (26 if seed == 1 else 27)
+        for k, start in enumerate(starts):
+            assert_same_result(whole[k], track_paths(h, [start])[0])
+        for w in range(4):
+            part = track_paths(h, starts[w::4])
+            for a, b in zip(whole[w::4], part):
+                assert_same_result(a, b)
+        # track_all's batches are these splits, under either schedule
+        for schedule in ("static", "dynamic"):
+            for workers in (1, 2, 4):
+                got = track_all(h, starts, schedule=schedule, workers=workers)
+                for a, b in zip(whole, got, strict=True):
+                    assert_same_result(a, b)
+
+
+def test_track_paths_singular_root_and_underflow_leave_others_alone() -> None:
+    # x^2 (x - 2): two of the three paths head for the double root 0,
+    # where the corrector slows down until the step falls below H_MIN
+    f = PolySystem(1, [[Term(1.0, (3,)), Term(-2.0, (2,))]])
+    rng = np.random.default_rng(0)
+    g, starts = total_degree_start(f, rng)
+    h = Homotopy(target=f, start=g, gamma=np.exp(2j * np.pi * rng.uniform()))
+    batch = track_paths(h, starts)
+    assert sorted(r.status for r in batch) == ["converged", "failed", "failed"]
+    for r in batch:
+        if r.status == "converged":
+            assert abs(r.endpoint[0] - 2.0) <= 1e-8
+        else:  # stopped just short of t = 1, near the double root
+            assert 1.0 - 1e-6 < r.t_reached < 1.0
+            assert abs(r.endpoint[0]) < 1e-2
+    for r, start in zip(batch, starts):
+        assert_same_result(r, track_paths(h, [start])[0])
+
+
+def test_track_paths_statuses_match_track_path() -> None:
+    # converged, failed (seed 1), diverged, and failed at H_MIN on a wall
+    cases = [dense_cubic_homotopy(1), (closed_form_homotopy(), [[1.0], [-1.0]]),
+             (BlowupEvaluator(), [[1.0]]), (WallEvaluator(), [[1.0], [1.0]])]
+    seen = set()
+    for h, starts in cases:
+        for r, start in zip(track_paths(h, starts), starts):
+            alone = track_path(h, start)
+            assert r.status == alone.status
+            seen.add(r.status)
+    assert seen == {"converged", "diverged", "failed"}
+
+
+def test_track_paths_max_steps_and_start_check() -> None:
+    h = closed_form_homotopy()
+    res = track_paths(h, [[1.0], [-1.0]], TrackerOptions(max_steps=3))
+    assert [r.status for r in res] == ["failed", "failed"]
+    assert [r.steps_used for r in res] == [3, 3]
+    assert track_paths(h, []) == []
+    res = track_paths(h, [[1.0]])[0]
+    assert isinstance(res, PathResult) and res.endpoint.dtype == np.complex128
+    assert isinstance(res.residual, float) and res.t_reached == 1.0
+    # one bad start stops the whole call, naming the path
+    with pytest.raises(ValueError, match="start residual .* of path 1"):
+        track_paths(h, [[1.0], [1.5]])
 
 
 def test_track_all_order_and_worker_invariance() -> None:
