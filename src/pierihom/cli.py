@@ -98,12 +98,6 @@ def cmd_track(args: argparse.Namespace) -> int:
     gamma = complex(np.exp(2j * np.pi * rng.uniform()))
     hom = Homotopy(target=system, start=start, gamma=gamma)
     opts = _tracker_options(args)
-    # a worker's batch would stop on its start check; a --tol that a start
-    # misses is an input error, so it is reported as one here
-    worst = float(np.max(np.linalg.norm(hom.eval(np.array(starts), 0.0), axis=-1)))
-    if not worst <= opts.residual_tol:
-        raise ValueError(
-            f"start residual {worst:.3e} exceeds --tol {opts.residual_tol:.0e}")
     print(f"system: {len(system.polys)} polynomials in {system.nvars} variables, "
           f"{len(starts)} start paths")
     begin = time.perf_counter()

@@ -206,6 +206,9 @@ class ProblemInput:
             )
         if self.points.shape != (n,):
             raise ValueError(f"need {n} points, got {self.points.shape}")
+        for name, values in (("planes", self.planes), ("points", self.points)):
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
         if np.min(np.abs(self.points - 1.0)) < 1e-9:
             raise ValueError("interpolation points must stay away from 1")
         for i in range(n):

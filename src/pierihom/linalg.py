@@ -1,14 +1,14 @@
 """Dense complex linear algebra kernels.
 
 The hot-path kernels go to LAPACK: ``solve_linear`` is one
-``numpy.linalg.solve`` call, ``solve_stack`` is one stacked call that
-solves each matrix on its own and flags only the singular ones, and
-``cofactors_at`` is one stacked ``numpy.linalg.det`` over every requested
-minor of a whole stack of matrices.  The explicit LU with partial
-max-modulus pivoting stays for diagnostics: it exposes the permutation
-sign, the determinant and the pivot magnitudes that the start-regularity
-checks and the rank checks report, and it defines the singularity
-threshold both solves keep.
+``numpy.linalg.solve`` call for one matrix or a whole stack, which solves
+each matrix on its own and returns a mask of the singular ones instead of
+raising, and ``cofactors_at`` is one stacked ``numpy.linalg.det`` over
+every requested minor of a whole stack of matrices.  The explicit LU with
+partial max-modulus pivoting stays for diagnostics: it exposes the
+permutation sign, the determinant and the pivot magnitudes that the
+start-regularity checks and the rank checks report, and it defines the
+singularity threshold the solve keeps.
 """
 from __future__ import annotations
 
@@ -20,10 +20,6 @@ import numpy as np
 
 #: A pivot below PIVOT_RTOL * (largest input entry modulus) counts as zero.
 PIVOT_RTOL = 1e-14
-
-
-class SingularMatrixError(ValueError):
-    """A linear solve met a numerically singular matrix."""
 
 
 @dataclass(frozen=True)
@@ -76,82 +72,59 @@ def det(a) -> complex:
     return lu_decompose(a).det
 
 
-def _singularity_bound(a: np.ndarray, sol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(ok, bound) per matrix of a stack, from its solution against ``[b | I]``.
+@functools.lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """A read-only n x n identity, built once per n.
 
-    The bound is ||a^-1||_F * PIVOT_RTOL * max|a_ij| * sqrt(n(n+1)/2); a
-    matrix passes when its solution is finite and its bound is below 1.
+    ``np.eye`` per call costs about what the ``np.errstate`` guard of
+    ``solve_linear`` does, so caching it keeps one-matrix solves as cheap
+    as they were without the guard.
     """
-    n = a.shape[-1]
-    inv = sol[..., 1:]
-    bound = (
-        np.sqrt((inv.real ** 2 + inv.imag ** 2).sum(axis=(-2, -1))) * PIVOT_RTOL
-        * np.abs(a).max(axis=(-2, -1)) * math.sqrt(n * (n + 1) / 2)
-    )
-    return np.isfinite(sol).all(axis=(-2, -1)) & (bound < 1.0), bound
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
-def _with_identity(a: np.ndarray, b) -> np.ndarray:
-    """``[b | I]`` for a (stack of) square a: an (..., n, n + 1) right-hand side.
+def solve_linear(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Solve ``a @ x = b`` for one matrix or a stack; returns ``(x, ok)``.
 
-    A matrix right-hand side reads the same in numpy 1.24 and 2.x; a stack
-    of vectors (k, n) does not.
-    """
-    n = a.shape[-1]
-    rhs = np.empty(a.shape[:-1] + (n + 1,), dtype=np.complex128)
-    rhs[..., 0] = b
-    rhs[..., 1:] = np.eye(n)
-    return rhs
-
-
-def solve_linear(a, b) -> np.ndarray:
-    """Solve ``a @ x = b``, raising SingularMatrixError on rank deficiency.
-
-    One LAPACK solve against ``[b | I]`` also yields the inverse.  With
-    |l_ij| <= 1, every pivot of ``lu_decompose(a)`` is at least
-    1 / (||a^-1||_F sqrt(n(n+1)/2)), so the bound of ``_singularity_bound``
-    rejects every matrix whose smallest LU pivot is at most
+    ``a`` is (n, n) or (..., n, n) and ``b`` is (n,) or (..., n).  ``ok``
+    has ``a``'s stack shape (a 0-d bool for one matrix) and is False where
+    the matrix counts as singular; ``x`` is undefined there.  Each matrix
+    gets its own LAPACK solve against ``[b | I]``, which also yields its
+    inverse, so ``x`` and ``ok`` of one matrix do not depend on the rest of
+    the stack.  With |l_ij| <= 1, every pivot of ``lu_decompose(a)`` is at
+    least 1 / (||a^-1||_F sqrt(n(n+1)/2)), so the bound
+    ||a^-1||_F * PIVOT_RTOL * max|a_ij| * sqrt(n(n+1)/2) < 1 that a matrix
+    must meet rejects every matrix whose smallest LU pivot is at most
     PIVOT_RTOL * max|a_ij| (and some whose pivots sit just above that).
     """
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise ValueError(f"nonempty square matrix required, got shape {a.shape}")
-    try:
-        sol = np.linalg.solve(a, _with_identity(a, b))
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"LAPACK: {exc}") from None
-    ok, bound = _singularity_bound(a, sol)
-    if not ok:
-        raise SingularMatrixError(
-            f"||inv||_F * {PIVOT_RTOL:.0e} * scale * sqrt(n(n+1)/2) = {bound:.3e} >= 1"
-        )
-    return sol[:, 0]
-
-
-def solve_stack(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Solve ``a[k] @ x[k] = b[k]`` for a stack; returns ``(x, ok)``.
-
-    ``a`` is (k, n, n) and ``b`` is (k, n).  ``ok[k]`` is False exactly
-    where ``solve_linear(a[k], b[k])`` would raise, and then ``x[k]`` is
-    undefined; no other matrix of the stack is affected.  Each matrix
-    gets its own LAPACK solve, so ``x[k]`` does not depend on the rest of
-    the stack.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    rhs = _with_identity(a, b)
+    n = a.shape[-1]
+    if a.ndim < 2 or a.shape[-2] != n or n == 0:
+        raise ValueError(f"nonempty square matrices required, got shape {a.shape}")
+    # a matrix right-hand side reads the same in numpy 1.24 and 2.x; a
+    # stack of vectors (k, n) does not
+    rhs = np.empty(a.shape[:-1] + (n + 1,), dtype=np.complex128)
+    rhs[..., 0] = b
+    rhs[..., 1:] = _identity(n)
     try:
         sol = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:
-        # LAPACK stops the whole stack at one exactly singular matrix
+        # LAPACK stops at the first exactly singular matrix: solve each alone
         sol = np.full(rhs.shape, np.nan, dtype=np.complex128)
-        for k in range(len(a)):
+        for k in np.ndindex(a.shape[:-2]):
             try:
                 sol[k] = np.linalg.solve(a[k], rhs[k])
             except np.linalg.LinAlgError:
                 pass
-    with np.errstate(invalid="ignore", over="ignore"):
-        ok = _singularity_bound(a, sol)[0]
-    return sol[..., 0], ok
+    inv = sol[..., 1:]
+    with np.errstate(invalid="ignore", over="ignore"):  # a huge or non-finite inverse
+        bound = (
+            np.sqrt((inv.real ** 2 + inv.imag ** 2).sum(axis=(-2, -1))) * PIVOT_RTOL
+            * np.abs(a).max(axis=(-2, -1)) * math.sqrt(n * (n + 1) / 2)
+        )
+    return sol[..., 0], np.isfinite(sol).all(axis=(-2, -1)) & (bound < 1.0)
 
 
 def cofactor(a, row: int, col: int) -> complex:

@@ -24,10 +24,14 @@ Two loops apply these rules, chosen by the input:
   stack of points (k, nvars) with one t per point (k,).  ``track_all``
   hands each worker one such stack.
 
-Every stacked operation is elementwise in the path axis, solves each
-matrix on its own or reduces along the last axis, so a path's result is
-bitwise the same in any batch, and so across schedules and worker counts.
-A batch of one is slower than ``track_path``, which is why both loops stay.
+Both loops solve with ``linalg.solve_linear``, which returns a mask of
+the matrices that fail its singularity bound instead of raising; a
+singular tangent falls back to a zero-order prediction and a singular
+Newton step fails the correction.  Every stacked operation is
+elementwise in the path axis, solves each matrix on its own or reduces
+along the last axis, so a path's result is bitwise the same in any
+batch, and so across schedules and worker counts.  A batch of one is
+slower than ``track_path``, which is why both loops stay.
 """
 from __future__ import annotations
 
@@ -37,7 +41,7 @@ from typing import Any, Protocol, Sequence
 
 import numpy as np
 
-from .linalg import SingularMatrixError, solve_linear, solve_stack
+from .linalg import solve_linear
 from .scheduler import JobMessage, run_dynamic, run_static
 
 H_INIT = 0.05
@@ -66,8 +70,10 @@ class TrackerOptions:
     residual_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be positive, got {self.max_steps}")
+        # nan would never stop a path, and a bool or a float is no step count
+        steps = self.max_steps
+        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+            raise ValueError(f"max_steps must be a positive integer, got {steps!r}")
         # nan would fail every endpoint and inf would accept any start
         if not (math.isfinite(self.residual_tol) and self.residual_tol > 0):
             raise ValueError(
@@ -88,10 +94,9 @@ class PathResult:
 def _newton(h: HomotopyLike, x: np.ndarray, t: float) -> tuple[np.ndarray, int, bool]:
     """Correct x at fixed t; success means the update norm met CORRECTOR_TOL."""
     for it in range(1, MAX_CORRECTOR_ITERS + 1):
-        try:
-            res, jac = h.eval_jacobian(x, t)
-            dx = solve_linear(jac, -res)
-        except SingularMatrixError:
+        res, jac = h.eval_jacobian(x, t)
+        dx, solved = solve_linear(jac, -res)
+        if not solved:
             return x, it, False
         x_new = x + dx
         if not np.all(np.isfinite(x_new)):
@@ -130,13 +135,10 @@ def track_path(
             break
         dt = min(step, 1.0 - t)
         t_new = 1.0 if dt >= 1.0 - t else t + dt
-        try:
-            jac, h_t = h.jacobian_dt(x, t)
-            tangent = solve_linear(jac, -h_t)
-            x_pred = x + tangent * dt
-            if not np.all(np.isfinite(x_pred)):
-                x_pred = x
-        except SingularMatrixError:
+        jac, h_t = h.jacobian_dt(x, t)
+        tangent, solved = solve_linear(jac, -h_t)
+        x_pred = x + tangent * dt if solved else x
+        if not np.all(np.isfinite(x_pred)):
             x_pred = x  # zero-order fallback; the corrector decides
         x_corr, iters, ok = _newton(h, x_pred, t_new)
         steps_used += 1
@@ -210,7 +212,7 @@ def _newton_stack(
     rows = np.arange(len(x))
     for it in range(1, MAX_CORRECTOR_ITERS + 1):
         res, jac = h.eval_jacobian(x[rows], t[rows])
-        dx, solved = solve_stack(jac, -res)
+        dx, solved = solve_linear(jac, -res)
         dx[~solved] = 0.0  # undefined there; zero keeps the arithmetic below quiet
         x_new = x[rows] + dx
         step_ok = solved & np.all(np.isfinite(x_new), axis=-1)
@@ -224,21 +226,31 @@ def _newton_stack(
     return x, iters, ok
 
 
-def _lockstep(
+def _start_stack(
     h: HomotopyLike, starts: Sequence[Sequence[complex]], opts: TrackerOptions
-) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The loop of ``track_paths`` over one or more starts.
-
-    Returns one row per path: (status, endpoint, t_reached, residual,
-    steps_used, newton_iters_total).
-    """
+) -> np.ndarray:
+    """The starts as a (k, nvars) stack; a ValueError names the first bad one."""
     x = np.array(starts, dtype=np.complex128).reshape(len(starts), h.nvars)
-    count = len(x)
-    start_residual = np.linalg.norm(h.eval(x, np.zeros(count)), axis=-1)
+    if not len(x):
+        return x
+    start_residual = np.linalg.norm(h.eval(x, np.zeros(len(x))), axis=-1)
     bad = np.flatnonzero(~(start_residual <= opts.residual_tol))  # NaN is bad too
     if bad.size:
         raise ValueError(f"start residual {start_residual[bad[0]]:.3e} of path "
                          f"{bad[0]} exceeds {opts.residual_tol:.0e}")
+    return x
+
+
+def _lockstep(
+    h: HomotopyLike, x: np.ndarray, opts: TrackerOptions
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The loop of ``track_paths`` over a checked stack of starts.
+
+    Returns one row per path: (status, endpoint, t_reached, residual,
+    steps_used, newton_iters_total).
+    """
+    x = x.copy()
+    count = len(x)
     t = np.zeros(count)
     step = np.full(count, H_INIT)
     consecutive = np.zeros(count, dtype=int)
@@ -261,7 +273,7 @@ def _lockstep(
         dt = np.minimum(step[idx], 1.0 - t_idx)
         t_new = np.where(dt >= 1.0 - t_idx, 1.0, t_idx + dt)
         jac, h_t = h.jacobian_dt(x_idx, t_idx)
-        tangent, solved = solve_stack(jac, -h_t)
+        tangent, solved = solve_linear(jac, -h_t)
         tangent[~solved] = 0.0  # undefined there, and replaced just below
         x_pred = x_idx + tangent * dt[:, None]
         # zero-order fallback on a singular or overflowing tangent
@@ -325,7 +337,8 @@ def track_paths(
     path's result does not depend on which other paths share the call.
     """
     opts = opts or TrackerOptions()
-    return _path_results(*_lockstep(h, starts, opts)) if len(starts) else []
+    x = _start_stack(h, starts, opts)
+    return _path_results(*_lockstep(h, x, opts)) if len(x) else []
 
 
 @dataclass(frozen=True)
@@ -353,7 +366,10 @@ def track_all(
 ) -> list[PathResult]:
     """Track every start point, returning results in start order.
 
-    Worker w gets one ``track_paths`` batch, the paths i with
+    The starts are checked here, before any dispatch: a start that misses
+    ``residual_tol`` raises a ValueError naming its index in ``starts``,
+    whatever the schedule and worker count.  Worker w then gets one
+    ``track_paths`` batch, the paths i with
     i mod workers == w, dispatched by ``run_static`` or ``run_dynamic`` as
     ``schedule`` says.  A path's result does not depend on its batch, so
     the per-path results are bitwise identical regardless of schedule or
@@ -362,7 +378,7 @@ def track_all(
     opts = opts or TrackerOptions()
     if schedule not in ("static", "dynamic"):
         raise ValueError(f"unknown schedule {schedule!r}")
-    stack = np.array(starts, dtype=np.complex128).reshape(len(starts), h.nvars)
+    stack = _start_stack(h, starts, opts)
     lanes = [np.arange(w, len(stack), workers) for w in range(workers)]
     jobs = [JobMessage(w, _PathStack(h, stack[lane], opts))
             for w, lane in enumerate(lanes) if lane.size]

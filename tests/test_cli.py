@@ -260,12 +260,16 @@ def test_track_tol_below_start_residual_exit_2(tmp_path, capsys):
         [Term(1 + 0j, (0, 2)), Term(-9 + 0j, (0, 0))],
     ], nvars=2)
     out = tmp_path / "ends.json"
-    assert main(["track", "--input", str(sys_path), "--seed", "3",
-                 "--tol", "1e-30", "--output", str(out)]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1
-    assert err[0].startswith("error: ") and "start residual" in err[0]
-    assert not out.exists()
+    errors = set()
+    for workers in ("1", "2", "4"):
+        assert main(["track", "--input", str(sys_path), "--seed", "3", "--tol", "1e-30",
+                     "--workers", workers, "--output", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "start residual" in err[0]
+        errors.add(err[0])
+        assert not out.exists()
+    assert len(errors) == 1  # the same start is named at every worker count
 
 
 def test_track_non_square_exit_2(tmp_path, capsys):

@@ -370,6 +370,21 @@ def test_problem_input_rank_check_uses_the_whole_plane() -> None:
         ProblemInput(2, 2, 0, 1, planes, prob.points)
 
 
+def test_problem_input_rejects_non_finite_planes_and_points() -> None:
+    # a NaN point once passed validation, and a NaN plane met an SVD failure
+    for m, p, q, seed in ((2, 2, 1, 7), (2, 2, 0, 1)):
+        prob = ProblemInput.generate(m, p, q, seed)
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            planes = prob.planes.copy()
+            planes[1, 2, 0] = bad
+            with pytest.raises(ValueError, match="planes must be finite"):
+                ProblemInput(m, p, q, seed, planes, prob.points)
+            points = prob.points.copy()
+            points[-1] = bad
+            with pytest.raises(ValueError, match="points must be finite"):
+                ProblemInput(m, p, q, seed, prob.planes, points)
+
+
 # -------------------------------------------------------- edge homotopy
 
 

@@ -143,8 +143,12 @@ def test_options_defaults_frozen() -> None:
 
 
 def test_options_validation() -> None:
-    with pytest.raises(ValueError):
-        TrackerOptions(max_steps=0)
+    # nan would switch the step cap off; a bool or a float is no step count
+    for steps in (0, -3, np.int64(0), float("nan"), 2.5, 10.0, True, np.True_, "5"):
+        with pytest.raises(ValueError, match="max_steps"):
+            TrackerOptions(max_steps=steps)
+    for steps in (1, 7, np.int64(7), np.int32(7)):
+        assert TrackerOptions(max_steps=steps).max_steps == steps
     # nan fails every endpoint check and inf passes every start check
     for tol in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError):
@@ -403,6 +407,27 @@ def test_track_paths_max_steps_and_start_check() -> None:
     # one bad start stops the whole call, naming the path
     with pytest.raises(ValueError, match="start residual .* of path 1"):
         track_paths(h, [[1.0], [1.5]])
+
+
+def test_track_all_names_the_rejected_start_at_every_worker_count() -> None:
+    # the starts are checked once, before dispatch, so the index is the
+    # start's own and not its place in a worker's batch
+    rng = np.random.default_rng(2026)
+    f = quadric_system()
+    g, starts = total_degree_start(f, rng)
+    h = Homotopy(target=f, start=g, gamma=np.exp(2j * np.pi * rng.uniform()))
+    starts = [list(s) for s in starts]
+    starts[3][0] += 0.5
+    messages = set()
+    for schedule in ("static", "dynamic"):
+        for workers in (1, 2, 4):
+            with pytest.raises(ValueError, match="of path 3 exceeds") as exc:
+                track_all(h, starts, schedule=schedule, workers=workers)
+            messages.add(str(exc.value))
+    with pytest.raises(ValueError, match="of path 3 exceeds") as exc:
+        track_paths(h, starts)
+    messages.add(str(exc.value))
+    assert len(messages) == 1
 
 
 def test_track_all_order_and_worker_invariance() -> None:
